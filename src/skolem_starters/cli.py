@@ -23,6 +23,7 @@ from .starters import (
     Starter,
     starter_from_dict,
     starter_to_dict,
+    starter_to_json,
     verify_starter,
 )
 
@@ -117,13 +118,14 @@ def _run_construct(args: argparse.Namespace) -> int:
         starter = constructions.pq_cyclotomic_starter(
             params["p"], params["q"], params["k"], beta
         )
-    doc = starter_to_dict(starter)
+    if args.out or args.json:
+        text = starter_to_json(starter)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
+            fh.write(text)
             fh.write("\n")
     if args.json:
-        _emit(doc)
+        print(text)
     elif not args.out:
         _print_starter_human(starter)
     else:
@@ -142,7 +144,7 @@ def _run_verify(args: argparse.Namespace) -> int:
     cls = classify(starter)
     starter = starter.with_metadata(recipe=starter.recipe, classification=cls)
     if args.json:
-        _emit(starter_to_dict(starter))
+        print(starter_to_json(starter))
     else:
         _print_starter_human(starter)
     verified = cls.is_starter and cls.is_strong and cls.is_skolem

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from skolem_starters.cli import main
 from test_starters import Z19_PAIRS
 
@@ -199,3 +201,38 @@ def test_selftest_passes(capsys):
     lines = out.strip().splitlines()
     assert lines[-1] == "passed 8/8"
     assert all(line.startswith("ok") for line in lines[:-1])
+
+
+# ---- malformed starter documents: typed refusal, exit 2 ----------------------
+
+VALID_DOC = {"modulus": 3, "pairs": [[1, 2]], "recipe": None, "classification": None}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        pytest.param({"pairs": [[1, 2]]}, id="missing-modulus"),
+        pytest.param({"modulus": 3, "pairs": [[1]]}, id="one-member-pair"),
+        pytest.param({"modulus": 3, "pairs": None}, id="null-pairs"),
+        pytest.param([[1, 2]], id="top-level-list"),
+        pytest.param(dict(VALID_DOC, classification={"starter": True}), id="partial-classification"),
+        pytest.param({"modulus": 3.7, "pairs": [[1, 2]]}, id="float-modulus"),
+        pytest.param({"modulus": 3, "pairs": [[True, 2]]}, id="bool-member"),
+        pytest.param({"modulus": 3, "pairs": [[1, 2, 3]]}, id="three-member-pair"),
+    ],
+)
+def test_verify_malformed_document_exits_2(capsys, tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--in", str(path), "--json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_verify_well_formed_document_still_verifies(capsys, tmp_path):
+    path = tmp_path / "good.json"
+    path.write_text(json.dumps(VALID_DOC))
+    code, out, _ = run(capsys, "verify", "--in", str(path), "--json")
+    assert code == 1  # Z_3 is Skolem but not strong
+    assert json.loads(out)["classification"]["skolem"] is True
