@@ -3,9 +3,10 @@
 The package splits into five layers:
 
   modnt          exact modular arithmetic (primality, primitive roots,
-                 residue classes, discrete logs, unit-group partitions)
+                 residue classes, cyclic cosets, discrete logs, CRT)
   starters       the Pair/Starter types and the four verifiers
-  constructions  explicit doubling-pair recipes for Z_p, Z_{p^n}, Z_{pq}
+  constructions  explicit doubling-pair recipes for Z_p, Z_{p^n}, Z_{pq},
+                 each a list of pair families run by one assembler
   search         admissible-parameter scans and exhaustive brute force
   cli            the skolem-starters command-line tool
 """

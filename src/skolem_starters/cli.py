@@ -79,6 +79,7 @@ def _print_starter_human(s: Starter) -> None:
             print(f"  ({pr.lo}, {pr.hi})")
 
 
+# Each method's parameters, in the order its recipe function takes them.
 _METHODS = {
     "horton": ("p", "beta"),
     "qr": ("p", "beta"),
@@ -91,33 +92,12 @@ _METHODS = {
 
 
 def _run_construct(args: argparse.Namespace) -> int:
-    needed = _METHODS[args.method]
-    params: dict[str, Any] = {"p": args.p}
-    for name in ("q", "n", "k"):
-        if name in needed:
-            value = getattr(args, name)
-            if value is None:
-                raise UsageError(f"--method {args.method} requires --{name}")
-            params[name] = value
-    beta = constructions.normalize_beta(args.beta)
-    if args.method == "horton":
-        starter = constructions.horton_starter(params["p"], beta)
-    elif args.method == "qr":
-        starter = constructions.qr_starter(params["p"], beta)
-    elif args.method == "cyclotomic":
-        starter = constructions.cyclotomic_starter(params["p"], params["k"], beta)
-    elif args.method == "prime-power":
-        starter = constructions.prime_power_starter(params["p"], params["n"], beta)
-    elif args.method == "prime-power-cyclotomic":
-        starter = constructions.prime_power_cyclotomic_starter(
-            params["p"], params["k"], params["n"], beta
-        )
-    elif args.method == "pq":
-        starter = constructions.pq_starter(params["p"], params["q"], beta)
-    else:
-        starter = constructions.pq_cyclotomic_starter(
-            params["p"], params["q"], params["k"], beta
-        )
+    names = _METHODS[args.method]
+    missing = [name for name in names if getattr(args, name) is None]
+    if missing:
+        raise UsageError(f"--method {args.method} requires --{missing[0]}")
+    build = getattr(constructions, args.method.replace("-", "_") + "_starter")
+    starter = build(*(getattr(args, name) for name in names))
     if args.out or args.json:
         text = starter_to_json(starter)
     if args.out:

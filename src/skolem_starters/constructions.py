@@ -1,20 +1,27 @@
 """Explicit constructions of strong Skolem (cardioidal) starters.
 
-Every builder assembles doubling pairs {x, beta*x} (beta = 2 or the
-inverse of 2) over an index set chosen so that the pair members and
-the +- differences each sweep out the nonzero residues exactly once:
+Every recipe is one instance of the same idea: doubling pairs
+{c*x, beta*c*x} (beta = 2 or the inverse of 2), one family per
+multiplier c, with x over a union of cosets of a subgroup, chosen so
+that the pair members and the +- differences each sweep out the
+nonzero residues exactly once.  A recipe checks its hypotheses, lists
+its families (c, xs), and hands them to _assemble, which builds every
+pair and canonicalizes once; _certify then runs the four verifiers.
 
   horton_starter            Z_p,   x over the quadratic residues, any
                             non-residue multiplier (strong only)
   qr_starter                Z_p,   p = 3 (mod 8), multiplier 2 or 2^-1
   cyclotomic_starter        Z_p,   p = 2^k t + 1, x over the low half
                             of the cyclotomic classes
-  prime_power_starter       Z_{p^n}, one family of pairs per unit
-                            stratum p^i * (units mod p^(n-i))
+  prime_power_starter       Z_{p^n}, one family per unit stratum
+                            p^i * (units mod p^(n-i)), x over <r^2>
   prime_power_cyclotomic_starter   the cyclotomic variant of the above
-  pq_starter                Z_{pq}, three families: p * QR(q),
-                            q * QR(p), and the units mod pq
+  pq_starter                Z_{pq}, four families: p * QR(q),
+                            q * QR(p), and <r^2>, lambda * <r^2>
   pq_cyclotomic_starter     the cyclotomic variant for p, q = 1 (mod 8)
+
+The low half of the classes of r is the union of the cosets
+r^j <r^delta>, j < delta/2 (_half_union); delta = 2 gives <r^2>.
 
 Hypothesis checks happen first and raise HypothesisViolation; every
 successful construction is then self-verified with all four verifiers
@@ -26,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from .modnt import (
     crt_solve,
@@ -102,14 +109,66 @@ def normalize_beta(beta: int | str) -> int | str:
     raise ValueError(f"unrecognized beta {beta!r}")
 
 
+def _doubling_beta(beta: int | str) -> int | str:
+    """Normalize beta and require one of the two doubling multipliers."""
+    beta = normalize_beta(beta)
+    _require(beta in (BETA_TWO, BETA_TWO_INVERSE), f"beta must be 2 or {BETA_TWO_INVERSE!r}")
+    return beta
+
+
 def _beta_multiplier(beta: int | str, modulus: int) -> int:
     if beta == BETA_TWO_INVERSE:
         return pow(2, -1, modulus)
     return int(beta) % modulus
 
 
-def _doubling_pairs(values: Iterable[int], mult: int, modulus: int) -> list[tuple[int, int]]:
-    return [(v % modulus, v * mult % modulus) for v in values]
+def _require_qr_prime(p: int, name: str = "p") -> None:
+    """p is a prime, 3 (mod 8), other than 3."""
+    _require(is_prime(p), f"{name} = {p} is not prime")
+    _require(p % 8 == 3, f"{name} = {p} must be 3 (mod 8)")
+    _require(p != 3, f"{name} = 3 is excluded")
+
+
+def _cyclotomic_shape(p: int, k: int, name: str = "p") -> None:
+    """p is a prime 2^k t + 1 with k >= 3 and t odd > 1."""
+    _require(k >= 3, f"k must be >= 3, got {k}")
+    _require(is_prime(p), f"{name} = {p} is not prime")
+    delta = 1 << k
+    _require((p - 1) % delta == 0, f"2^{k} does not divide {name} - 1 = {p - 1}")
+    t = (p - 1) // delta
+    _require(t % 2 == 1, f"({name}-1)/2^{k} = {t} must be odd")
+    _require(t > 1, f"({name}-1)/2^{k} must exceed 1")
+
+
+def _cyclotomic_prime(p: int, k: int, name: str = "p") -> CyclotomicStructure:
+    """The cyclotomic shape, with 2 in class 2^(k-1) of Z_p^*."""
+    _cyclotomic_shape(p, k, name)
+    cs = CyclotomicStructure.for_prime(p, k)
+    index2 = cyclotomic_index(2, cs)
+    half = cs.delta >> 1
+    _require(index2 == half, f"class index of 2 mod {p} is {index2}, need {half}")
+    return cs
+
+
+def _require_pq_pair(p: int, q: int) -> None:
+    _require(p < q, f"need p < q, got ({p}, {q})")
+    _require((q - 1) % (p - 1) != 0, f"(p-1) = {p - 1} divides (q-1) = {q - 1}")
+
+
+def _half_union(root: int, delta: int, m: int) -> set[int]:
+    """Union of the cosets root^j <root^delta> mod m, j = 0 .. delta/2 - 1."""
+    sub = cyclic_coset(pow(root, delta, m), 1, m)
+    out: set[int] = set()
+    for j in range(delta >> 1):
+        shift = pow(root, j, m)
+        out.update(shift * s % m for s in sub)
+    return out
+
+
+def _assemble(modulus: int, families: Iterable[tuple[int, Iterable[int]]], mult: int) -> Starter:
+    """The pairs {c*x, mult*c*x} mod modulus for every family (c, xs)."""
+    pairs = [(c * x % modulus, c * x * mult % modulus) for c, xs in families for x in xs]
+    return Starter.from_pairs(modulus, pairs)
 
 
 def _certify(s: Starter, recipe: Recipe, *, all_four: bool = True) -> Starter:
@@ -139,9 +198,9 @@ def horton_starter(p: int, beta: int | str) -> Starter:
     _require(beta_r % p != 0, "beta must be a unit")
     _require(euler_class(beta_r, p) is ResidueClass.NQR, f"beta = {beta_r} is a quadratic residue mod {p}")
     _require(beta_r != p - 1, "beta = -1 is excluded")
-    pairs = _doubling_pairs(quadratic_residues(p), beta_r, p)
     recipe = Recipe(method="horton", p=p, beta=beta if beta == BETA_TWO_INVERSE else beta_r)
-    return _certify(Starter.from_pairs(p, pairs), recipe, all_four=False)
+    families = [(1, quadratic_residues(p))]
+    return _certify(_assemble(p, families, beta_r), recipe, all_four=False)
 
 
 def qr_starter(p: int, beta: int | str = BETA_TWO) -> Starter:
@@ -152,25 +211,11 @@ def qr_starter(p: int, beta: int | str = BETA_TWO) -> Starter:
     all four verifiers.  The 2inv variant equals the negation of the
     2 variant.
     """
-    _require(is_prime(p), f"p = {p} is not prime")
-    _require(p % 8 == 3, f"p = {p} must be 3 (mod 8)")
-    _require(p != 3, "p = 3 is excluded")
-    beta = normalize_beta(beta)
-    _require(beta in (BETA_TWO, BETA_TWO_INVERSE), f"beta must be 2 or {BETA_TWO_INVERSE!r}")
-    mult = _beta_multiplier(beta, p)
-    pairs = _doubling_pairs(quadratic_residues(p), mult, p)
+    _require_qr_prime(p)
+    beta = _doubling_beta(beta)
     recipe = Recipe(method="qr", p=p, beta=beta)
-    return _certify(Starter.from_pairs(p, pairs), recipe)
-
-
-def _half_class_union(cs: CyclotomicStructure) -> set[int]:
-    """Union of the classes r^j <r^delta> for j = 0 .. 2^(k-1) - 1."""
-    sub = cyclic_coset(pow(cs.root, cs.delta, cs.p), 1, cs.p)
-    out: set[int] = set()
-    for j in range(cs.delta >> 1):
-        shift = pow(cs.root, j, cs.p)
-        out.update(shift * s % cs.p for s in sub)
-    return out
+    families = [(1, quadratic_residues(p))]
+    return _certify(_assemble(p, families, _beta_multiplier(beta, p)), recipe)
 
 
 def cyclotomic_starter(p: int, k: int, beta: int | str = BETA_TWO) -> Starter:
@@ -182,41 +227,11 @@ def cyclotomic_starter(p: int, k: int, beta: int | str = BETA_TWO) -> Starter:
     pair members sweep all of Z_p^*, and the index of -1 is 2^(k-1)
     automatically (t odd), which makes the differences sweep it too.
     """
-    _require(is_prime(p), f"p = {p} is not prime")
-    _require(k >= 3, f"k must be >= 3, got {k}")
-    delta = 1 << k
-    _require((p - 1) % delta == 0, f"2^{k} does not divide {p} - 1")
-    t = (p - 1) // delta
-    _require(t % 2 == 1, f"(p-1)/2^{k} = {t} must be odd")
-    _require(t > 1, f"(p-1)/2^{k} must exceed 1")
-    beta = normalize_beta(beta)
-    _require(beta in (BETA_TWO, BETA_TWO_INVERSE), f"beta must be 2 or {BETA_TWO_INVERSE!r}")
-    cs = CyclotomicStructure.for_prime(p, k)
-    index2 = cyclotomic_index(2, cs)
-    _require(
-        index2 == delta >> 1,
-        f"class index of 2 mod {p} is {index2}, need {delta >> 1}",
-    )
-    mult = _beta_multiplier(beta, p)
-    pairs = _doubling_pairs(_half_class_union(cs), mult, p)
+    cs = _cyclotomic_prime(p, k)
+    beta = _doubling_beta(beta)
     recipe = Recipe(method="cyclotomic", p=p, k=k, beta=beta, root=cs.root)
-    return _certify(Starter.from_pairs(p, pairs), recipe)
-
-
-def _stratum_pairs(
-    p: int,
-    n: int,
-    mult: int,
-    base_values: Callable[[int], Iterable[int]],
-) -> list[tuple[int, int]]:
-    """Pairs {p^i x, mult * p^i x} with x over base_values(p^(n-i))."""
-    modulus = p**n
-    pairs: list[tuple[int, int]] = []
-    for i in range(n):
-        m = p ** (n - i)
-        scale = p**i
-        pairs.extend((scale * x, scale * x * mult % modulus) for x in base_values(m))
-    return pairs
+    families = [(1, _half_union(cs.root, cs.delta, p))]
+    return _certify(_assemble(p, families, _beta_multiplier(beta, p)), recipe)
 
 
 def prime_power_starter(p: int, n: int, beta: int | str = BETA_TWO) -> Starter:
@@ -228,19 +243,14 @@ def prime_power_starter(p: int, n: int, beta: int | str = BETA_TWO) -> Starter:
     each stratum is covered by its own pairs and differences.  n = 1
     degenerates to the plain quadratic-residue construction.
     """
-    _require(is_prime(p), f"p = {p} is not prime")
-    _require(p % 8 == 3, f"p = {p} must be 3 (mod 8)")
-    _require(p != 3, "p = 3 is excluded")
+    _require_qr_prime(p)
     _require(n >= 1, f"n must be >= 1, got {n}")
-    beta = normalize_beta(beta)
-    _require(beta in (BETA_TWO, BETA_TWO_INVERSE), f"beta must be 2 or {BETA_TWO_INVERSE!r}")
+    beta = _doubling_beta(beta)
     ctx = GroupContext.for_prime_power(p, n)
     root = ctx.primitive_root
-    modulus = ctx.modulus
-    mult = _beta_multiplier(beta, modulus)
-    pairs = _stratum_pairs(p, n, mult, lambda m: cyclic_coset(root * root % m, 1, m))
+    families = [(p**i, _half_union(root, 2, p ** (n - i))) for i in range(n)]
     recipe = Recipe(method="prime_power", p=p, n=n, beta=beta, root=root)
-    return _certify(Starter.from_pairs(modulus, pairs), recipe)
+    return _certify(_assemble(ctx.modulus, families, _beta_multiplier(beta, ctx.modulus)), recipe)
 
 
 def prime_power_cyclotomic_starter(
@@ -254,51 +264,23 @@ def prime_power_cyclotomic_starter(
     stratum group) are consequences of the hypotheses at p, but they
     are re-checked at runtime rather than assumed.
     """
-    _require(is_prime(p), f"p = {p} is not prime")
-    _require(k >= 3, f"k must be >= 3, got {k}")
-    delta = 1 << k
-    _require((p - 1) % delta == 0, f"2^{k} does not divide {p} - 1")
-    t = (p - 1) // delta
-    _require(t % 2 == 1, f"(p-1)/2^{k} = {t} must be odd")
-    _require(t > 1, f"(p-1)/2^{k} must exceed 1")
+    cs = _cyclotomic_prime(p, k)
     _require(n >= 1, f"n must be >= 1, got {n}")
-    beta = normalize_beta(beta)
-    _require(beta in (BETA_TWO, BETA_TWO_INVERSE), f"beta must be 2 or {BETA_TWO_INVERSE!r}")
-    cs = CyclotomicStructure.for_prime(p, k)
-    index2 = cyclotomic_index(2, cs)
-    _require(
-        index2 == delta >> 1,
-        f"class index of 2 mod {p} is {index2}, need {delta >> 1}",
-    )
+    beta = _doubling_beta(beta)
     root = lift_primitive_root(cs.root, p, n)
-    modulus = p**n
-
-    def half_union(m: int) -> set[int]:
-        group_order = m // p * (p - 1)
+    delta, modulus = cs.delta, p**n
+    families = []
+    for i in range(n):
+        m = p ** (n - i)
         for target, name in ((2, "2"), (m - 1, "-1")):
-            e = discrete_log(target, root, m, group_order)
+            e = discrete_log(target, root, m, m // p * (p - 1))
             if e % delta != delta >> 1:
                 raise CoverageFailure(
                     f"{name} has class index {e % delta} mod {m}, need {delta >> 1}"
                 )
-        sub = cyclic_coset(pow(root, delta, m), 1, m)
-        out: set[int] = set()
-        for j in range(delta >> 1):
-            shift = pow(root, j, m)
-            out.update(shift * s % m for s in sub)
-        return out
-
-    mult = _beta_multiplier(beta, modulus)
-    pairs = _stratum_pairs(p, n, mult, half_union)
+        families.append((p**i, _half_union(root, delta, m)))
     recipe = Recipe(method="prime_power_cyclotomic", p=p, k=k, n=n, beta=beta, root=root)
-    return _certify(Starter.from_pairs(modulus, pairs), recipe)
-
-
-def _check_pq_common(p: int, q: int) -> None:
-    _require(is_prime(p), f"p = {p} is not prime")
-    _require(is_prime(q), f"q = {q} is not prime")
-    _require(p < q, f"need p < q, got ({p}, {q})")
-    _require((q - 1) % (p - 1) != 0, f"(p-1) = {p - 1} divides (q-1) = {q - 1}")
+    return _certify(_assemble(modulus, families, _beta_multiplier(beta, modulus)), recipe)
 
 
 def pq_starter(p: int, q: int, beta: int | str = BETA_TWO) -> Starter:
@@ -314,11 +296,10 @@ def pq_starter(p: int, q: int, beta: int | str = BETA_TWO) -> Starter:
     stated congruence hypotheses but have a larger gcd cannot be
     covered by this recipe and raise CoverageFailure.
     """
-    _require(p % 8 == 3 and p != 3, f"p = {p} must be 3 (mod 8) and != 3")
-    _require(q % 8 == 3 and q != 3, f"q = {q} must be 3 (mod 8) and != 3")
-    _check_pq_common(p, q)
-    beta = normalize_beta(beta)
-    _require(beta in (BETA_TWO, BETA_TWO_INVERSE), f"beta must be 2 or {BETA_TWO_INVERSE!r}")
+    _require_qr_prime(p)
+    _require_qr_prime(q, "q")
+    _require_pq_pair(p, q)
+    beta = _doubling_beta(beta)
     modulus = p * q
     root = find_common_primitive_root(p, q)
     g = math.gcd(p - 1, q - 1)
@@ -327,22 +308,22 @@ def pq_starter(p: int, q: int, beta: int | str = BETA_TWO) -> Starter:
             f"gcd(p-1, q-1) = {g}: the four cosets of <r^2> span only "
             f"{2 * (p - 1) * (q - 1) // g} of the {(p - 1) * (q - 1)} units mod {modulus}"
         )
-    mult = _beta_multiplier(beta, modulus)
-    square_span = cyclic_coset(root * root % modulus, 1, modulus)
-    excluded = set(square_span)
-    excluded.update(2 * x % modulus for x in square_span)
+    square_span = _half_union(root, 2, modulus)
+    excluded = square_span | {2 * x % modulus for x in square_span}
     lam = next(
         (c for c in range(2, modulus) if c % p and c % q and c not in excluded),
         None,
     )
     if lam is None:
         raise CoverageFailure(f"no unit outside <r^2> and 2<r^2> mod {modulus}")
-    pairs = _doubling_pairs((p * x for x in quadratic_residues(q)), mult, modulus)
-    pairs += _doubling_pairs((q * x for x in quadratic_residues(p)), mult, modulus)
-    pairs += _doubling_pairs(square_span, mult, modulus)
-    pairs += _doubling_pairs((lam * x % modulus for x in square_span), mult, modulus)
+    families = [
+        (p, quadratic_residues(q)),
+        (q, quadratic_residues(p)),
+        (1, square_span),
+        (lam, square_span),
+    ]
     recipe = Recipe(method="pq", p=p, q=q, beta=beta, lam=lam, root=root)
-    return _certify(Starter.from_pairs(modulus, pairs), recipe)
+    return _certify(_assemble(modulus, families, _beta_multiplier(beta, modulus)), recipe)
 
 
 def _pq_root_index(x: int, root: int, p: int, q: int) -> int | None:
@@ -364,16 +345,16 @@ def _pq_root_index(x: int, root: int, p: int, q: int) -> int | None:
     return solved[0]
 
 
-def _validate_pq_cyclotomic(p: int, q: int, k: int) -> None:
-    _require(k >= 3, f"k must be >= 3, got {k}")
-    delta = 1 << k
-    for name, value in (("p", p), ("q", q)):
-        _require(is_prime(value), f"{name} = {value} is not prime")
-        _require((value - 1) % delta == 0, f"2^{k} does not divide {name} - 1")
-        t = (value - 1) // delta
-        _require(t % 2 == 1, f"({name}-1)/2^{k} = {t} must be odd")
-        _require(t > 1, f"({name}-1)/2^{k} must exceed 1")
-    _check_pq_common(p, q)
+def _require_pq_cyclotomic(p: int, q: int, k: int) -> None:
+    _cyclotomic_prime(p, k, "p")
+    _cyclotomic_prime(q, k, "q")
+    _require_pq_pair(p, q)
+
+
+def _pq_cyclotomic_families(p: int, q: int, delta: int, root: int):
+    """The families p * H_q and q * H_p, and H = the low half of <r> mod pq."""
+    families = [(p, _half_union(root, delta, q)), (q, _half_union(root, delta, p))]
+    return families, _half_union(root, delta, p * q)
 
 
 def pq_cyclotomic_starter(p: int, q: int, k: int, beta: int | str = BETA_TWO) -> Starter:
@@ -389,18 +370,10 @@ def pq_cyclotomic_starter(p: int, q: int, k: int, beta: int | str = BETA_TWO) ->
     greedily as the smallest yet-uncovered unit, the first of them
     (the smallest unit outside R) is recorded as lambda in the recipe.
     """
-    _validate_pq_cyclotomic(p, q, k)
-    beta = normalize_beta(beta)
-    _require(beta in (BETA_TWO, BETA_TWO_INVERSE), f"beta must be 2 or {BETA_TWO_INVERSE!r}")
+    _require_pq_cyclotomic(p, q, k)
+    beta = _doubling_beta(beta)
     delta = 1 << k
     half = delta >> 1
-    cs_p = CyclotomicStructure.for_prime(p, k)
-    cs_q = CyclotomicStructure.for_prime(q, k)
-    index2_p = cyclotomic_index(2, cs_p)
-    _require(index2_p == half, f"class index of 2 mod {p} is {index2_p}, need {half}")
-    index2_q = cyclotomic_index(2, cs_q)
-    _require(index2_q == half, f"class index of 2 mod {q} is {index2_q}, need {half}")
-
     modulus = p * q
     root = find_common_primitive_root(p, q)
     for target, name in ((2, "2"), (modulus - 1, "-1")):
@@ -410,14 +383,8 @@ def pq_cyclotomic_starter(p: int, q: int, k: int, beta: int | str = BETA_TWO) ->
                 f"{name} is not in the coset r^{half} <r^{delta}> mod {modulus}"
             )
 
-    sub = cyclic_coset(pow(root, delta, modulus), 1, modulus)
-    half_union: set[int] = set()
-    for j in range(half):
-        shift = pow(root, j, modulus)
-        half_union.update(shift * s % modulus for s in sub)
-    span = set(half_union)
-    span.update(2 * x % modulus for x in half_union)  # span == <r>
-
+    families, half_union = _pq_cyclotomic_families(p, q, delta, root)
+    span = half_union | {2 * x % modulus for x in half_union}  # span == <r>
     unit_count = (p - 1) * (q - 1)
     covered = set(span)
     multipliers = [1]
@@ -433,27 +400,11 @@ def pq_cyclotomic_starter(p: int, q: int, k: int, beta: int | str = BETA_TWO) ->
         multipliers.append(c)
         covered.update(c * y % modulus for y in span)
 
-    mult = _beta_multiplier(beta, modulus)
-    pairs: list[tuple[int, int]] = []
-    pairs += _doubling_pairs((p * x for x in _half_class_union_root(cs_q, root)), mult, modulus)
-    pairs += _doubling_pairs((q * x for x in _half_class_union_root(cs_p, root)), mult, modulus)
-    for c in multipliers:
-        pairs += _doubling_pairs((c * x % modulus for x in half_union), mult, modulus)
+    families += [(c, half_union) for c in multipliers]
     recipe = Recipe(
         method="pq_cyclotomic", p=p, q=q, k=k, beta=beta, lam=multipliers[1], root=root
     )
-    return _certify(Starter.from_pairs(modulus, pairs), recipe)
-
-
-def _half_class_union_root(cs: CyclotomicStructure, root: int) -> set[int]:
-    """Low-half class union of Z_p^*, taken for the given shared root."""
-    m = cs.p
-    sub = cyclic_coset(pow(root, cs.delta, m), 1, m)
-    out: set[int] = set()
-    for j in range(cs.delta >> 1):
-        shift = pow(root, j, m)
-        out.update(shift * s % m for s in sub)
-    return out
+    return _certify(_assemble(modulus, families, _beta_multiplier(beta, modulus)), recipe)
 
 
 def two_family_pq_cyclotomic(p: int, q: int, k: int, lam: int) -> Starter:
@@ -464,22 +415,9 @@ def two_family_pq_cyclotomic(p: int, q: int, k: int, lam: int) -> Starter:
     (p-1)(q-1) units, so for these shapes the result cannot verify as
     a starter.  classify() on the output shows exactly how it fails.
     """
-    _validate_pq_cyclotomic(p, q, k)
-    delta = 1 << k
-    cs_p = CyclotomicStructure.for_prime(p, k)
-    cs_q = CyclotomicStructure.for_prime(q, k)
-    modulus = p * q
-    root = find_common_primitive_root(p, q)
-    sub = cyclic_coset(pow(root, delta, modulus), 1, modulus)
-    half_union: set[int] = set()
-    for j in range(delta >> 1):
-        shift = pow(root, j, modulus)
-        half_union.update(shift * s % modulus for s in sub)
-    pairs = _doubling_pairs((p * x for x in _half_class_union_root(cs_q, root)), 2, modulus)
-    pairs += _doubling_pairs((q * x for x in _half_class_union_root(cs_p, root)), 2, modulus)
-    pairs += _doubling_pairs(half_union, 2, modulus)
-    pairs += _doubling_pairs((lam * x % modulus for x in half_union), 2, modulus)
-    return Starter.from_pairs(modulus, pairs)
+    _require_pq_cyclotomic(p, q, k)
+    families, half_union = _pq_cyclotomic_families(p, q, 1 << k, find_common_primitive_root(p, q))
+    return _assemble(p * q, families + [(1, half_union), (lam, half_union)], 2)
 
 
 def check_minus_one_coset(p: int, q: int, k: int, r: int) -> bool:
@@ -491,13 +429,9 @@ def check_minus_one_coset(p: int, q: int, k: int, r: int) -> bool:
     also checks that -1 lies in the coset r^(2^(k-1)) <r^(2^k)> of
     the units mod pq.
     """
-    _require(k >= 3, f"k must be >= 3, got {k}")
+    _cyclotomic_shape(p, k, "p")
+    _cyclotomic_shape(q, k, "q")
     delta = 1 << k
-    for name, value in (("p", p), ("q", q)):
-        _require(is_prime(value), f"{name} = {value} is not prime")
-        _require((value - 1) % delta == 0, f"2^{k} does not divide {name} - 1")
-        t = (value - 1) // delta
-        _require(t % 2 == 1 and t > 1, f"({name}-1)/2^{k} = {t} must be odd and > 1")
     _require((p - 1) // delta < (q - 1) // delta, "need t1 < t2")
     _require(
         euler_class(r, p) is ResidueClass.NQR, f"r = {r} is a quadratic residue mod {p}"

@@ -2,8 +2,8 @@
 
 Primality, multiplicative orders, primitive roots and their lift to
 prime powers, Euler-criterion residue classes, cyclotomic class
-indexing, cyclic cosets, the unit-group splitting of Z_{p^n} and
-Z_{pq}, and a baby-step/giant-step discrete log.
+indexing, cyclic cosets, Chinese remaindering, and a
+baby-step/giant-step discrete log.
 
 Residues are canonical representatives in 1..m-1 (0 is never a unit).
 Everything is computed on plain Python ints, so intermediate products
@@ -33,19 +33,6 @@ class NotPrimitiveRoot(ValueError):
 
 class NotInSubgroup(ValueError):
     """Element lies outside the cyclic subgroup being searched."""
-
-
-class InverseUndefined(ValueError):
-    """Residue reconstruction requested for non-coprime moduli."""
-
-
-def mod_pow(base: int, exp: int, m: int) -> int:
-    """Return base**exp reduced into 0..m-1."""
-    if m < 2:
-        raise InvalidModulus(f"modulus must be >= 2, got {m}")
-    if exp < 0:
-        raise ValueError(f"exponent must be non-negative, got {exp}")
-    return pow(base, exp, m)
 
 
 # Deterministic Miller-Rabin witnesses, valid for all n < 2^64.
@@ -264,13 +251,6 @@ def cyclotomic_index(x: int, cs: CyclotomicStructure) -> int:
     return discrete_log(x, cs.root, cs.p, cs.p - 1) % cs.delta
 
 
-def cyclotomic_class(cs: CyclotomicStructure, j: int) -> frozenset[int]:
-    """The j-th class r^j * <r^delta>, materialized."""
-    if not 0 <= j < cs.delta:
-        raise ValueError(f"class index must be in 0..{cs.delta - 1}, got {j}")
-    return cyclic_coset(pow(cs.root, cs.delta, cs.p), pow(cs.root, j, cs.p), cs.p)
-
-
 def cyclic_coset(g: int, shift: int, m: int) -> frozenset[int]:
     """The set {shift * g^e mod m : e >= 0}, without duplicates."""
     if m < 2:
@@ -296,17 +276,9 @@ def _check_pq(p: int, q: int) -> None:
         raise InvalidModulus(f"primes must be distinct, got {p} twice")
 
 
-def crt_map(x: int, p: int, q: int) -> tuple[int, int]:
-    """Componentwise reduction of a residue mod pq to (mod p, mod q)."""
-    _check_pq(p, q)
-    return x % p, x % q
-
-
 def crt_inverse(a: int, b: int, p: int, q: int) -> int:
     """The unique x mod pq with x = a (mod p) and x = b (mod q)."""
     _check_pq(p, q)
-    if math.gcd(p, q) != 1:
-        raise InverseUndefined(f"moduli {p} and {q} are not coprime")
     n = p * q
     return (a * q * pow(q, -1, p) + b * p * pow(p, -1, q)) % n
 
@@ -327,47 +299,11 @@ def crt_solve(a: int, m1: int, b: int, m2: int) -> tuple[int, int] | None:
 
 
 @dataclass(frozen=True)
-class UnitStratum:
-    """Residues mod p^n whose gcd with p^n is exactly p^level."""
-
-    level: int
-    elements: frozenset[int]
-
-
-def unit_partition_ppow(p: int, n: int) -> list[UnitStratum]:
-    """Split {1, .., p^n - 1} into the n strata p^i * (units mod p^(n-i))."""
-    if not is_prime(p) or p == 2:
-        raise InvalidModulus(f"{p} is not an odd prime")
-    if n < 1:
-        raise ValueError(f"exponent must be >= 1, got {n}")
-    strata = []
-    for i in range(n):
-        scale = p**i
-        members = frozenset(scale * u for u in range(1, p ** (n - i)) if u % p)
-        strata.append(UnitStratum(level=i, elements=members))
-    return strata
-
-
-def unit_partition_pq(p: int, q: int) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
-    """Split Z_pq^* into p*Z_q^*, q*Z_p^* and the units mod pq."""
-    _check_pq(p, q)
-    if p >= q:
-        raise InvalidModulus(f"expected p < q, got ({p}, {q})")
-    n = p * q
-    p_mult = frozenset(p * x for x in range(1, q))
-    q_mult = frozenset(q * x for x in range(1, p))
-    units = frozenset(x for x in range(1, n) if x % p and x % q)
-    return p_mult, q_mult, units
-
-
-@dataclass(frozen=True)
 class GroupContext:
     """Modulus together with its factor shape and a chosen generator.
 
-    shape is one of "prime", "prime_power", "product"; factor_data is
-    (p, n) for the first two and (p, q) for the product case.  The
-    stored root generates Z_p^* / the units mod p^n / both Z_p^* and
-    Z_q^* respectively.
+    Built by for_prime_power: shape is "prime_power", factor_data is
+    (p, n), and the stored root generates the units mod p^n.
     """
 
     modulus: int
@@ -376,17 +312,6 @@ class GroupContext:
     factor_data: tuple[int, int]
 
     @classmethod
-    def for_prime(cls, p: int) -> "GroupContext":
-        return cls(p, "prime", find_primitive_root(p), (p, 1))
-
-    @classmethod
     def for_prime_power(cls, p: int, n: int) -> "GroupContext":
         root = lift_primitive_root(find_primitive_root(p), p, n)
         return cls(p**n, "prime_power", root, (p, n))
-
-    @classmethod
-    def for_product(cls, p: int, q: int, root: int) -> "GroupContext":
-        _check_pq(p, q)
-        if not is_primitive_root(root, p) or not is_primitive_root(root, q):
-            raise NotPrimitiveRoot(f"{root} is not primitive mod both {p} and {q}")
-        return cls(p * q, "product", root, (p, q))

@@ -191,6 +191,9 @@ def exhaustive_skolem_search(
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"modulus must be odd and >= 3, got {n}")
+    # Written so that NaN fails too: no clock reading ever exceeds it.
+    if timeout is not None and not timeout >= 0:
+        raise ValueError(f"timeout must be a non-negative number of seconds, got {timeout}")
     k = (n - 1) // 2
     deadline = None if timeout is None else time.monotonic() + timeout
     used = bytearray(n)

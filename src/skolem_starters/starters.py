@@ -348,6 +348,9 @@ def starter_to_dict(s: Starter) -> dict[str, Any]:
     }
 
 
+_DOCUMENT_KEYS = frozenset({"modulus", "pairs", "recipe", "classification"})
+
+
 def starter_from_dict(doc: dict[str, Any]) -> Starter:
     """Decode and validate a starter document; MalformedStarter if it
     is not one.  An attached classification is kept, not recomputed."""
@@ -356,12 +359,18 @@ def starter_from_dict(doc: dict[str, Any]) -> Starter:
     missing = [key for key in ("modulus", "pairs") if key not in doc]
     if missing:
         raise MalformedStarter(f"starter document lacks {' and '.join(missing)}")
+    unknown = [key for key in doc if key not in _DOCUMENT_KEYS]
+    if unknown:
+        raise MalformedStarter(f"unknown keys in starter document: {', '.join(map(repr, unknown))}")
     if not isinstance(doc["pairs"], list):
         raise MalformedStarter(f"pairs must be a list, got {type(doc['pairs']).__name__}")
+    recipe = doc.get("recipe")
+    if recipe is not None and not isinstance(recipe, dict):
+        raise MalformedStarter(f"recipe must be an object or null, got {type(recipe).__name__}")
     s = Starter.from_pairs(doc["modulus"], doc["pairs"])
     cls = doc.get("classification")
     return s.with_metadata(
-        recipe=doc.get("recipe"),
+        recipe=recipe,
         classification=None if cls is None else Classification.from_dict(cls),
     )
 

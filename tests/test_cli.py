@@ -186,6 +186,14 @@ def test_search_timeout_exits_3(capsys):
     assert "timeout" in err
 
 
+@pytest.mark.parametrize("timeout", ["nan", "-1"])
+def test_search_bad_timeout_exits_2(capsys, timeout):
+    code, out, err = run(capsys, "search", "--modulus", "21", "--timeout", timeout)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "timeout" in err
+
+
 def test_search_all_modulus_3(capsys):
     code, out, _ = run(capsys, "search", "--modulus", "3", "--all", "--json")
     assert code == 0
@@ -206,6 +214,7 @@ def test_selftest_passes(capsys):
 # ---- malformed starter documents: typed refusal, exit 2 ----------------------
 
 VALID_DOC = {"modulus": 3, "pairs": [[1, 2]], "recipe": None, "classification": None}
+Z19_DOC = {"modulus": 19, "pairs": [list(pr) for pr in Z19_PAIRS], "recipe": None}
 
 
 @pytest.mark.parametrize(
@@ -219,15 +228,20 @@ VALID_DOC = {"modulus": 3, "pairs": [[1, 2]], "recipe": None, "classification": 
         pytest.param({"modulus": 3.7, "pairs": [[1, 2]]}, id="float-modulus"),
         pytest.param({"modulus": 3, "pairs": [[True, 2]]}, id="bool-member"),
         pytest.param({"modulus": 3, "pairs": [[1, 2, 3]]}, id="three-member-pair"),
+        pytest.param(dict(Z19_DOC, recipe=5), id="number-recipe"),
+        pytest.param(dict(Z19_DOC, recipe=[1, 2]), id="list-recipe"),
+        pytest.param(dict(Z19_DOC, recipe="qr"), id="string-recipe"),
+        pytest.param(dict(Z19_DOC, extra=1), id="unknown-key"),
     ],
 )
 def test_verify_malformed_document_exits_2(capsys, tmp_path, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "verify", "--in", str(path), "--json")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and "Traceback" not in err
+    for mode in (["--json"], []):
+        code, out, err = run(capsys, "verify", "--in", str(path), *mode)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_verify_well_formed_document_still_verifies(capsys, tmp_path):
@@ -236,3 +250,7 @@ def test_verify_well_formed_document_still_verifies(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--in", str(path), "--json")
     assert code == 1  # Z_3 is Skolem but not strong
     assert json.loads(out)["classification"]["skolem"] is True
+    path.write_text(json.dumps(dict(Z19_DOC, recipe={"method": "qr", "p": 19})))
+    for mode in (["--json"], []):
+        code, _, _ = run(capsys, "verify", "--in", str(path), *mode)
+        assert code == 0

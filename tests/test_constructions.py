@@ -14,7 +14,7 @@ from skolem_starters.constructions import (
     qr_starter,
     two_family_pq_cyclotomic,
 )
-from skolem_starters.modnt import multiplicative_order, unit_partition_ppow
+from skolem_starters.modnt import multiplicative_order
 from skolem_starters.search import find_common_primitive_root, scan_cyclotomic_primes, scan_qr_primes
 from skolem_starters.starters import (
     classify,
@@ -150,11 +150,11 @@ def test_prime_power_11_squared():
     assert s.classification.all_four
     assert s.recipe.root == 2
     # stratum bookkeeping: 55 unit pairs, 5 pairs of multiples of 11
-    strata = unit_partition_ppow(11, 2)
-    unit_pairs = [p for p in s.pairs if p.lo in strata[0].elements]
-    scaled_pairs = [p for p in s.pairs if p.lo in strata[1].elements]
+    unit_pairs = [p for p in s.pairs if p.lo % 11]
+    scaled_pairs = [p for p in s.pairs if p.lo % 11 == 0]
     assert len(unit_pairs) == 55 and len(scaled_pairs) == 5
-    assert all(p.hi in strata[1].elements for p in scaled_pairs)
+    assert all(p.hi % 11 for p in unit_pairs)
+    assert all(p.hi % 11 == 0 for p in scaled_pairs)
 
 
 def test_prime_power_two_inverse_is_negation():

@@ -2,7 +2,10 @@
 direct pair writer replaced json.dumps(starter_to_dict(s), indent=2).
 
 DIGESTS covers every recipe and parameter set the test suite builds,
-Z_173377 included; the CLI tests check that construct --json,
+Z_173377 included, plus the pq_cyclotomic 2inv, pq (11, 43) and
+(11, 59), cyclotomic k = 4 and 5, horton 2inv and prime_power_cyclotomic
+n = 1 2inv sets, recorded before the recipes moved onto one family
+assembler; the CLI tests check that construct --json,
 construct --out and verify --json write exactly that text plus a
 newline.
 """
@@ -121,6 +124,13 @@ DIGESTS = {
     ('pq_starter', (11, 19, 2)): '815cb94ffb5aa542bc19801325376f69f5dc9c25c057c40a6bc250f6f2661a5b',
     ('pq_starter', (11, 19, '2inv')): '5073f2551cdb8397d4af27b33b5127d3589ec9604d23e94abf410f2a92d0c797',
     ('pq_cyclotomic_starter', (281, 617, 3, 2)): 'f9f95240bdff260b35aa1c6d5ddf14b41d89fdff154165b8975029a96c2135a7',
+    ('pq_cyclotomic_starter', (281, 617, 3, '2inv')): '6a26ce56df6a285c274890f481788de08c6c1df483ec73adef4fbcf3805bf4a2',
+    ('pq_starter', (11, 43, 2)): '213093eb54af3365906e19d7e228455be5287189f19c959fb625a626766d6698',
+    ('pq_starter', (11, 59, '2inv')): '007d9e7ad4317c298415fb7d0cb0ac05ef8b152aebf927094f056e6b94e066f4',
+    ('cyclotomic_starter', (1553, 4)): '0364b11f69fa04be993de86f17dcb0ed332da67df74847a5a1ade71e1e27b75f',
+    ('cyclotomic_starter', (2657, 5)): '506991f1a16187ca5e9e615f9ea2dfcc70fd6958749e14b92354eab0d3cec1e4',
+    ('horton_starter', (19, '2inv')): 'dd1111ef82e7a5c040e21df865a94ad943e6739020b448539421e335a694c71f',
+    ('prime_power_cyclotomic_starter', (281, 3, 1, '2inv')): '43e6f34a071e2656241af6662e705f096f695273910fa184a44d8aee8dcdd5b6',
 }
 
 # Starters without a recipe: bare, and with a classification attached

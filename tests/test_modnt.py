@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 
 from skolem_starters.modnt import (
     crt_inverse,
-    crt_map,
     crt_solve,
     cyclic_coset,
-    cyclotomic_class,
     cyclotomic_index,
     CyclotomicStructure,
     discrete_log,
@@ -21,42 +19,14 @@ from skolem_starters.modnt import (
     InvalidModulus,
     is_prime,
     lift_primitive_root,
-    mod_pow,
     multiplicative_order,
     NotAUnit,
     NotInSubgroup,
     NotPrimitiveRoot,
     quadratic_residues,
     ResidueClass,
-    unit_partition_ppow,
-    unit_partition_pq,
 )
 from oracles import naive_coset, naive_dlog, naive_order, squares_set, trial_division_prime
-
-
-# ---- mod_pow ---------------------------------------------------------------
-
-
-def test_mod_pow_examples():
-    assert mod_pow(2, 0, 19) == 1
-    assert mod_pow(2, 10, 121) == 56
-    assert mod_pow(2, 35, 281) == 280  # i.e. -1 mod 281
-
-
-def test_mod_pow_rejects_bad_inputs():
-    with pytest.raises(InvalidModulus):
-        mod_pow(2, 3, 1)
-    with pytest.raises(ValueError):
-        mod_pow(2, -1, 19)
-
-
-@given(
-    base=st.integers(min_value=0, max_value=2**63),
-    exp=st.integers(min_value=0, max_value=2**20),
-    m=st.integers(min_value=2, max_value=2**63 - 1),
-)
-def test_mod_pow_matches_builtin(base, exp, m):
-    assert mod_pow(base, exp, m) == pow(base, exp, m)
 
 
 # ---- is_prime --------------------------------------------------------------
@@ -254,7 +224,7 @@ def test_cyclotomic_classes_partition(p, k):
     cs = CyclotomicStructure.for_prime(p, k)
     seen: set[int] = set()
     for j in range(cs.delta):
-        cls = cyclotomic_class(cs, j)
+        cls = cyclic_coset(pow(cs.root, cs.delta, p), pow(cs.root, j, p), p)
         assert len(cls) == (p - 1) // cs.delta
         assert not (cls & seen)
         assert all(cyclotomic_index(x, cs) == j for x in list(cls)[:4])
@@ -308,25 +278,25 @@ def test_cyclic_coset_size_and_membership(m, g, shift):
 
 
 def test_crt_examples():
-    assert crt_map(1, 11, 19) == (1, 1)
-    assert crt_map(20, 11, 19) == (9, 1)
+    assert crt_inverse(1, 1, 11, 19) == 1
+    assert crt_inverse(9, 1, 11, 19) == 20
     assert crt_inverse(2, 2, 11, 19) == 2
     with pytest.raises(InvalidModulus):
-        crt_map(5, 11, 11)
+        crt_inverse(5, 5, 11, 11)
 
 
 def test_crt_round_trip_is_identity_on_units():
     for x in range(1, 209):
         if x % 11 == 0 or x % 19 == 0:
             continue
-        a, b = crt_map(x, 11, 19)
+        a, b = x % 11, x % 19
         assert crt_inverse(a, b, 11, 19) == x
 
 
 def test_crt_unit_bijection():
-    images = {crt_map(x, 11, 19) for x in range(1, 209) if x % 11 and x % 19}
+    images = {crt_inverse(a, b, 11, 19) for a in range(1, 11) for b in range(1, 19)}
     assert len(images) == 180
-    assert images == {(a, b) for a in range(1, 11) for b in range(1, 19)}
+    assert images == {x for x in range(1, 209) if x % 11 and x % 19}
 
 
 @settings(max_examples=200, deadline=None)
@@ -350,54 +320,64 @@ def test_crt_solve_matches_scan(m1, m2, a, b):
 
 
 # ---- unit partitions -------------------------------------------------------
+# The splittings the prime-power and two-prime recipes cover family by
+# family, built from the lifted root and from Chinese remaindering.
+
+
+def _strata(p: int, n: int) -> list[frozenset[int]]:
+    """p^i * (units mod p^(n-i)) for i = 0 .. n-1, from one lifted root."""
+    root = GroupContext.for_prime_power(p, n).primitive_root
+    return [
+        frozenset(p**i * u for u in cyclic_coset(root, 1, p ** (n - i))) for i in range(n)
+    ]
 
 
 def test_unit_partition_ppow_examples():
-    (only,) = unit_partition_ppow(11, 1)
-    assert only.elements == set(range(1, 11))
-    s0, s1 = unit_partition_ppow(11, 2)
-    assert len(s0.elements) == 110
-    assert s1.elements == {11 * u for u in range(1, 11)}
+    (only,) = _strata(11, 1)
+    assert only == set(range(1, 11))
+    s0, s1 = _strata(11, 2)
+    assert len(s0) == 110
+    assert s1 == {11 * u for u in range(1, 11)}
 
 
 @pytest.mark.parametrize("p,n", [(3, 4), (11, 2), (11, 3), (7, 3)])
 def test_unit_partition_ppow_is_a_partition(p, n):
-    strata = unit_partition_ppow(p, n)
+    strata = _strata(p, n)
     assert len(strata) == n
     union: set[int] = set()
-    for stratum in strata:
-        i = stratum.level
-        assert len(stratum.elements) == p ** (n - i) - p ** (n - i - 1)
-        assert all(math.gcd(x, p**n) == p**i for x in stratum.elements)
-        assert not (stratum.elements & union)
-        union |= stratum.elements
+    for i, stratum in enumerate(strata):
+        assert len(stratum) == p ** (n - i) - p ** (n - i - 1)
+        assert all(math.gcd(x, p**n) == p**i for x in stratum)
+        assert not (stratum & union)
+        union |= stratum
     assert union == set(range(1, p**n))
 
 
 def test_unit_partition_pq_examples():
-    pz, qz, units = unit_partition_pq(11, 19)
-    assert (len(pz), len(qz), len(units)) == (18, 10, 180)
-    assert pz | qz | units == set(range(1, 209))
-    assert not (pz & qz) and not (pz & units) and not (qz & units)
-    pz, qz, units = unit_partition_pq(3, 5)
-    assert (len(pz), len(qz), len(units)) == (4, 2, 8)
+    for p, q in ((11, 19), (3, 5)):
+        pz = {crt_inverse(0, b, p, q) for b in range(1, q)}
+        qz = {crt_inverse(a, 0, p, q) for a in range(1, p)}
+        units = {crt_inverse(a, b, p, q) for a in range(1, p) for b in range(1, q)}
+        assert pz == {p * x for x in range(1, q)}
+        assert qz == {q * x for x in range(1, p)}
+        assert (len(pz), len(qz), len(units)) == (q - 1, p - 1, (p - 1) * (q - 1))
+        assert pz | qz | units == set(range(1, p * q))
     with pytest.raises(InvalidModulus):
-        unit_partition_pq(19, 11)
+        crt_inverse(1, 1, 19, 19)
 
 
 # ---- GroupContext ----------------------------------------------------------
 
 
 def test_group_context_factories():
-    ctx = GroupContext.for_prime(19)
-    assert (ctx.modulus, ctx.shape, ctx.primitive_root) == (19, "prime", 2)
     ctx = GroupContext.for_prime_power(11, 2)
-    assert (ctx.modulus, ctx.primitive_root, ctx.factor_data) == (121, 2, (11, 2))
+    assert (ctx.modulus, ctx.shape, ctx.primitive_root) == (121, "prime_power", 2)
+    assert ctx.factor_data == (11, 2)
     assert naive_order(ctx.primitive_root, 121) == 110
-    ctx = GroupContext.for_product(11, 19, 2)
-    assert ctx.modulus == 209
-    with pytest.raises(NotPrimitiveRoot):
-        GroupContext.for_product(11, 19, 4)  # 4 is a square mod both
+    ctx = GroupContext.for_prime_power(19, 1)
+    assert (ctx.modulus, ctx.primitive_root, ctx.factor_data) == (19, 2, (19, 1))
+    with pytest.raises(InvalidModulus):
+        GroupContext.for_prime_power(121, 2)
 
 
 def test_module_is_pure():

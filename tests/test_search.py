@@ -145,6 +145,19 @@ def test_search_timeout_is_distinct_from_nonexistence():
         exhaustive_skolem_search(21, timeout=0.001)
 
 
+@pytest.mark.parametrize("timeout", [math.nan, -1.0, -math.inf])
+def test_search_rejects_nan_and_negative_timeout(timeout):
+    # NaN compares false against every clock reading, so it would never expire.
+    with pytest.raises(ValueError, match="timeout"):
+        exhaustive_skolem_search(21, timeout=timeout)
+
+
+def test_search_zero_timeout_is_valid():
+    assert len(exhaustive_skolem_search(3, timeout=0.0)) == 1
+    with pytest.raises(SearchTimeout):
+        exhaustive_skolem_search(21, timeout=0.0)
+
+
 def test_search_rejects_even_modulus():
     with pytest.raises(ValueError):
         exhaustive_skolem_search(8)
