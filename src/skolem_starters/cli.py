@@ -21,7 +21,7 @@ from .starters import (
     classify,
     MalformedStarter,
     Starter,
-    starter_from_dict,
+    starter_from_json,
     starter_to_dict,
     starter_to_json,
     verify_starter,
@@ -116,7 +116,7 @@ def _run_construct(args: argparse.Namespace) -> int:
 def _run_verify(args: argparse.Namespace) -> int:
     if args.infile:
         with open(args.infile, encoding="utf-8") as fh:
-            starter = starter_from_dict(json.load(fh))
+            starter = starter_from_json(fh.read())
     else:
         if args.modulus is None or args.pairs is None:
             raise UsageError("verify needs --in FILE or both --modulus and --pairs")

@@ -4,9 +4,11 @@ Every recipe is one instance of the same idea: doubling pairs
 {c*x, beta*c*x} (beta = 2 or the inverse of 2), one family per
 multiplier c, with x over a union of cosets of a subgroup, chosen so
 that the pair members and the +- differences each sweep out the
-nonzero residues exactly once.  A recipe checks its hypotheses, lists
-its families (c, xs), and hands them to _assemble, which builds every
-pair and canonicalizes once; _certify then runs the four verifiers.
+nonzero residues exactly once.  A recipe checks its hypotheses, builds
+its Recipe, and takes its families (c, xs) from one of two cores:
+_strata for Z_{p^n} (Z_p is n = 1) or _pq_families for Z_{pq}.
+_certified builds every pair, canonicalizes once and runs the four
+verifiers.
 
   horton_starter            Z_p,   x over the quadratic residues, any
                             non-residue multiplier (strong only)
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any
 
 from .modnt import (
     crt_solve,
@@ -46,7 +48,6 @@ from .modnt import (
     is_prime,
     is_primitive_root,
     lift_primitive_root,
-    NotInSubgroup,
     quadratic_residues,
     ResidueClass,
 )
@@ -122,10 +123,10 @@ def _beta_multiplier(beta: int | str, modulus: int) -> int:
     return int(beta) % modulus
 
 
-def _require_qr_prime(p: int, name: str = "p") -> None:
-    """p is a prime, 3 (mod 8), other than 3."""
+def _require_qr_prime(p: int, name: str = "p", mod: int = 8) -> None:
+    """p is a prime, 3 (mod `mod`), other than 3."""
     _require(is_prime(p), f"{name} = {p} is not prime")
-    _require(p % 8 == 3, f"{name} = {p} must be 3 (mod 8)")
+    _require(p % mod == 3, f"{name} = {p} must be 3 (mod {mod})")
     _require(p != 3, f"{name} = 3 is excluded")
 
 
@@ -133,9 +134,10 @@ def _cyclotomic_shape(p: int, k: int, name: str = "p") -> None:
     """p is a prime 2^k t + 1 with k >= 3 and t odd > 1."""
     _require(k >= 3, f"k must be >= 3, got {k}")
     _require(is_prime(p), f"{name} = {p} is not prime")
-    delta = 1 << k
-    _require((p - 1) % delta == 0, f"2^{k} does not divide {name} - 1 = {p - 1}")
-    t = (p - 1) // delta
+    # (p - 1) & (1 - p) is the largest power of 2 dividing p - 1; 2^k is
+    # not built before k is known to be small.
+    _require(k < ((p - 1) & (1 - p)).bit_length(), f"2^{k} does not divide {name} - 1 = {p - 1}")
+    t = (p - 1) >> k
     _require(t % 2 == 1, f"({name}-1)/2^{k} = {t} must be odd")
     _require(t > 1, f"({name}-1)/2^{k} must exceed 1")
 
@@ -165,14 +167,90 @@ def _half_union(root: int, delta: int, m: int) -> set[int]:
     return out
 
 
-def _assemble(modulus: int, families: Iterable[tuple[int, Iterable[int]]], mult: int) -> Starter:
-    """The pairs {c*x, mult*c*x} mod modulus for every family (c, xs)."""
-    pairs = [(c * x % modulus, c * x * mult % modulus) for c, xs in families for x in xs]
-    return Starter.from_pairs(modulus, pairs)
+def _in_half_shift(x: int, root: int, p: int, q: int, delta: int) -> bool:
+    """The unit x lies in the coset root^(delta/2) <root^delta> mod pq,
+    root a common primitive root of p and q.
+
+    The exponent of x comes from the two componentwise discrete logs,
+    recombined on the exponents; the moduli p-1 and q-1 share a
+    factor, so the recombination can be unsolvable, which is exactly
+    the x outside the subgroup generated by root.
+    """
+    ep = discrete_log(x, root, p, p - 1)
+    eq = discrete_log(x, root, q, q - 1)
+    solved = crt_solve(ep, p - 1, eq, q - 1)
+    return solved is not None and solved[0] % delta == delta >> 1
 
 
-def _certify(s: Starter, recipe: Recipe, *, all_four: bool = True) -> Starter:
-    """Attach recipe + fresh classification; reject invalid output."""
+def _strata(p: int, n: int, root: int, delta: int) -> list[tuple[int, set[int]]]:
+    """The families (p^i, low half of the classes of root mod p^(n-i)), i < n.
+
+    The strata p^i * (units mod p^(n-i)) split the nonzero residues mod
+    p^n; root generates the units mod p^n.  A stratum is covered by its
+    own pairs and differences when 2 and -1 have class index delta/2 in
+    its unit group.  That follows from the hypotheses at p, but it is
+    re-checked for every stratum rather than assumed (CoverageFailure).
+    """
+    half = delta >> 1
+    for i in range(n):
+        m = p ** (n - i)
+        for target, name in ((2, "2"), (m - 1, "-1")):
+            e = discrete_log(target, root, m, m // p * (p - 1)) % delta
+            if e != half:
+                raise CoverageFailure(f"{name} has class index {e} mod {m}, need {half}")
+    return [(p**i, _half_union(root, delta, p ** (n - i))) for i in range(n)]
+
+
+def _pq_families(p: int, q: int, delta: int) -> tuple[list[tuple[int, set[int]]], int, int]:
+    """The Z_{pq} families, the common primitive root r, and lambda.
+
+    p * H_q and q * H_p cover the multiples of p and of q, H_m the low
+    half of the classes of r mod m.  With 2 and -1 both in the coset
+    r^(delta/2) <r^delta> of R = <r> (CoverageFailure if not), each
+    coset c*R splits into doubling pairs {c x, 2 c x}, x over the low
+    half H of R (H and 2H tile R, and -H = 2H).  The multipliers c are
+    the smallest yet-uncovered units; lambda is the first after 1.
+    """
+    modulus = p * q
+    root = find_common_primitive_root(p, q)
+    for target, name in ((2, "2"), (modulus - 1, "-1")):
+        if not _in_half_shift(target, root, p, q, delta):
+            raise CoverageFailure(
+                f"{name} is not in the coset r^{delta >> 1} <r^{delta}> mod {modulus}"
+            )
+    half_union = _half_union(root, delta, modulus)
+    span = half_union | {2 * x % modulus for x in half_union}  # span == <r>
+    unit_count = (p - 1) * (q - 1)
+    covered = set(span)
+    multipliers = [1]
+    c = 2
+    while len(covered) < unit_count:
+        while c in covered or c % p == 0 or c % q == 0:
+            c += 1
+            if c >= modulus:
+                raise CoverageFailure(
+                    f"transversal of <r> mod {modulus} incomplete: "
+                    f"{len(covered)} of {unit_count} units covered"
+                )
+        multipliers.append(c)
+        covered.update(c * y % modulus for y in span)
+    families = [(p, _half_union(root, delta, q)), (q, _half_union(root, delta, p))]
+    families += [(c, half_union) for c in multipliers]
+    return families, root, multipliers[1]
+
+
+def _certified(modulus: int, families: list, recipe: Recipe, *, all_four: bool = True) -> Starter:
+    """The pairs {c*x, beta*c*x} mod modulus for every family (c, xs),
+    with beta from the recipe, canonicalized and self-verified.
+
+    The result carries the recipe and a fresh classification.  It must
+    pass all four verifiers (with all_four=False: starter and strong);
+    otherwise CoverageFailure reports the witnesses.
+    """
+    mult = _beta_multiplier(recipe.beta, modulus)
+    s = Starter.from_pairs(
+        modulus, [(c * x % modulus, c * x * mult % modulus) for c, xs in families for x in xs]
+    )
     cls = classify(s)
     required = cls.all_four if all_four else (cls.is_starter and cls.is_strong)
     if not required:
@@ -190,17 +268,14 @@ def horton_starter(p: int, beta: int | str) -> Starter:
     than -1.  Strong and a starter always; Skolem / cardioidal only
     for the doubling multipliers, which qr_starter specializes to.
     """
-    _require(is_prime(p), f"p = {p} is not prime")
-    _require(p % 4 == 3, f"p = {p} must be 3 (mod 4)")
-    _require(p != 3, "p = 3 is excluded")
+    _require_qr_prime(p, mod=4)
     beta = normalize_beta(beta)
     beta_r = _beta_multiplier(beta, p)
     _require(beta_r % p != 0, "beta must be a unit")
     _require(euler_class(beta_r, p) is ResidueClass.NQR, f"beta = {beta_r} is a quadratic residue mod {p}")
     _require(beta_r != p - 1, "beta = -1 is excluded")
     recipe = Recipe(method="horton", p=p, beta=beta if beta == BETA_TWO_INVERSE else beta_r)
-    families = [(1, quadratic_residues(p))]
-    return _certify(_assemble(p, families, beta_r), recipe, all_four=False)
+    return _certified(p, [(1, quadratic_residues(p))], recipe, all_four=False)
 
 
 def qr_starter(p: int, beta: int | str = BETA_TWO) -> Starter:
@@ -214,8 +289,7 @@ def qr_starter(p: int, beta: int | str = BETA_TWO) -> Starter:
     _require_qr_prime(p)
     beta = _doubling_beta(beta)
     recipe = Recipe(method="qr", p=p, beta=beta)
-    families = [(1, quadratic_residues(p))]
-    return _certify(_assemble(p, families, _beta_multiplier(beta, p)), recipe)
+    return _certified(p, [(1, quadratic_residues(p))], recipe)
 
 
 def cyclotomic_starter(p: int, k: int, beta: int | str = BETA_TWO) -> Starter:
@@ -226,12 +300,12 @@ def cyclotomic_starter(p: int, k: int, beta: int | str = BETA_TWO) -> Starter:
     0 .. 2^(k-1) - 1.  Doubling then lands in the upper half, so the
     pair members sweep all of Z_p^*, and the index of -1 is 2^(k-1)
     automatically (t odd), which makes the differences sweep it too.
+    This is the n = 1 case of prime_power_cyclotomic_starter.
     """
     cs = _cyclotomic_prime(p, k)
     beta = _doubling_beta(beta)
     recipe = Recipe(method="cyclotomic", p=p, k=k, beta=beta, root=cs.root)
-    families = [(1, _half_union(cs.root, cs.delta, p))]
-    return _certify(_assemble(p, families, _beta_multiplier(beta, p)), recipe)
+    return _certified(p, _strata(p, 1, cs.root, cs.delta), recipe)
 
 
 def prime_power_starter(p: int, n: int, beta: int | str = BETA_TWO) -> Starter:
@@ -248,9 +322,8 @@ def prime_power_starter(p: int, n: int, beta: int | str = BETA_TWO) -> Starter:
     beta = _doubling_beta(beta)
     ctx = GroupContext.for_prime_power(p, n)
     root = ctx.primitive_root
-    families = [(p**i, _half_union(root, 2, p ** (n - i))) for i in range(n)]
     recipe = Recipe(method="prime_power", p=p, n=n, beta=beta, root=root)
-    return _certify(_assemble(ctx.modulus, families, _beta_multiplier(beta, ctx.modulus)), recipe)
+    return _certified(ctx.modulus, _strata(p, n, root, 2), recipe)
 
 
 def prime_power_cyclotomic_starter(
@@ -260,27 +333,13 @@ def prime_power_cyclotomic_starter(
 
     Stratum i uses x over the low-half class union of the unit group
     mod p^(n-i), taken with respect to the lifted primitive root.
-    The required positions of 2 and -1 (class index 2^(k-1) in every
-    stratum group) are consequences of the hypotheses at p, but they
-    are re-checked at runtime rather than assumed.
     """
     cs = _cyclotomic_prime(p, k)
     _require(n >= 1, f"n must be >= 1, got {n}")
     beta = _doubling_beta(beta)
     root = lift_primitive_root(cs.root, p, n)
-    delta, modulus = cs.delta, p**n
-    families = []
-    for i in range(n):
-        m = p ** (n - i)
-        for target, name in ((2, "2"), (m - 1, "-1")):
-            e = discrete_log(target, root, m, m // p * (p - 1))
-            if e % delta != delta >> 1:
-                raise CoverageFailure(
-                    f"{name} has class index {e % delta} mod {m}, need {delta >> 1}"
-                )
-        families.append((p**i, _half_union(root, delta, m)))
     recipe = Recipe(method="prime_power_cyclotomic", p=p, k=k, n=n, beta=beta, root=root)
-    return _certify(_assemble(modulus, families, _beta_multiplier(beta, modulus)), recipe)
+    return _certified(p**n, _strata(p, n, root, cs.delta), recipe)
 
 
 def pq_starter(p: int, q: int, beta: int | str = BETA_TWO) -> Starter:
@@ -300,124 +359,35 @@ def pq_starter(p: int, q: int, beta: int | str = BETA_TWO) -> Starter:
     _require_qr_prime(q, "q")
     _require_pq_pair(p, q)
     beta = _doubling_beta(beta)
-    modulus = p * q
-    root = find_common_primitive_root(p, q)
     g = math.gcd(p - 1, q - 1)
     if g != 2:
         raise CoverageFailure(
             f"gcd(p-1, q-1) = {g}: the four cosets of <r^2> span only "
-            f"{2 * (p - 1) * (q - 1) // g} of the {(p - 1) * (q - 1)} units mod {modulus}"
+            f"{2 * (p - 1) * (q - 1) // g} of the {(p - 1) * (q - 1)} units mod {p * q}"
         )
-    square_span = _half_union(root, 2, modulus)
-    excluded = square_span | {2 * x % modulus for x in square_span}
-    lam = next(
-        (c for c in range(2, modulus) if c % p and c % q and c not in excluded),
-        None,
-    )
-    if lam is None:
-        raise CoverageFailure(f"no unit outside <r^2> and 2<r^2> mod {modulus}")
-    families = [
-        (p, quadratic_residues(q)),
-        (q, quadratic_residues(p)),
-        (1, square_span),
-        (lam, square_span),
-    ]
+    families, root, lam = _pq_families(p, q, 2)  # <r^2> mod q is QR(q): r is primitive mod q
     recipe = Recipe(method="pq", p=p, q=q, beta=beta, lam=lam, root=root)
-    return _certify(_assemble(modulus, families, _beta_multiplier(beta, modulus)), recipe)
-
-
-def _pq_root_index(x: int, root: int, p: int, q: int) -> int | None:
-    """Exponent of x in the subgroup generated by root mod pq, or None.
-
-    Computed from the two componentwise discrete logs, recombined on
-    the exponents; the moduli p-1 and q-1 share a factor, so the
-    recombination can be unsolvable, which is exactly the x outside
-    the subgroup.
-    """
-    try:
-        ep = discrete_log(x, root, p, p - 1)
-        eq = discrete_log(x, root, q, q - 1)
-    except NotInSubgroup:
-        return None
-    solved = crt_solve(ep, p - 1, eq, q - 1)
-    if solved is None:
-        return None
-    return solved[0]
-
-
-def _require_pq_cyclotomic(p: int, q: int, k: int) -> None:
-    _cyclotomic_prime(p, k, "p")
-    _cyclotomic_prime(q, k, "q")
-    _require_pq_pair(p, q)
-
-
-def _pq_cyclotomic_families(p: int, q: int, delta: int, root: int):
-    """The families p * H_q and q * H_p, and H = the low half of <r> mod pq."""
-    families = [(p, _half_union(root, delta, q)), (q, _half_union(root, delta, p))]
-    return families, _half_union(root, delta, p * q)
+    return _certified(p * q, families, recipe)
 
 
 def pq_cyclotomic_starter(p: int, q: int, k: int, beta: int | str = BETA_TWO) -> Starter:
     """Strong Skolem starter for Z_{pq}, p = 2^k t1 + 1, q = 2^k t2 + 1.
 
     The multiples of p and of q are covered like in
-    cyclotomic_starter, working mod q and mod p respectively.  For the
-    unit part, let R = <r> for a common primitive root r: 2 and -1
-    both sit in the coset r^(2^(k-1)) <r^(2^k)> of R, so every coset
-    c*R of R splits into doubling pairs {c x, 2 c x} with x over the
-    low-half class union H of R (H together with 2H tiles R, and -H =
-    2H).  One multiplier per coset of R is needed; they are chosen
-    greedily as the smallest yet-uncovered unit, the first of them
-    (the smallest unit outside R) is recorded as lambda in the recipe.
+    cyclotomic_starter, working mod q and mod p respectively.  The
+    unit part is one copy of the low-half class union H of <r>, r a
+    common primitive root, per coset of <r>: 2 and -1 both sit in the
+    coset r^(2^(k-1)) <r^(2^k)>, so each copy splits into doubling
+    pairs (see _pq_families).  The smallest unit outside <r> is
+    recorded as lambda in the recipe.
     """
-    _require_pq_cyclotomic(p, q, k)
+    cs = _cyclotomic_prime(p, k, "p")
+    _cyclotomic_prime(q, k, "q")
+    _require_pq_pair(p, q)
     beta = _doubling_beta(beta)
-    delta = 1 << k
-    half = delta >> 1
-    modulus = p * q
-    root = find_common_primitive_root(p, q)
-    for target, name in ((2, "2"), (modulus - 1, "-1")):
-        e = _pq_root_index(target, root, p, q)
-        if e is None or e % delta != half:
-            raise CoverageFailure(
-                f"{name} is not in the coset r^{half} <r^{delta}> mod {modulus}"
-            )
-
-    families, half_union = _pq_cyclotomic_families(p, q, delta, root)
-    span = half_union | {2 * x % modulus for x in half_union}  # span == <r>
-    unit_count = (p - 1) * (q - 1)
-    covered = set(span)
-    multipliers = [1]
-    c = 2
-    while len(covered) < unit_count:
-        while c in covered or c % p == 0 or c % q == 0:
-            c += 1
-            if c >= modulus:
-                raise CoverageFailure(
-                    f"transversal of <r> mod {modulus} incomplete: "
-                    f"{len(covered)} of {unit_count} units covered"
-                )
-        multipliers.append(c)
-        covered.update(c * y % modulus for y in span)
-
-    families += [(c, half_union) for c in multipliers]
-    recipe = Recipe(
-        method="pq_cyclotomic", p=p, q=q, k=k, beta=beta, lam=multipliers[1], root=root
-    )
-    return _certify(_assemble(modulus, families, _beta_multiplier(beta, modulus)), recipe)
-
-
-def two_family_pq_cyclotomic(p: int, q: int, k: int, lam: int) -> Starter:
-    """The unit part built from just <r>'s low half and one lambda copy.
-
-    Testing hook, deliberately uncertified: with a single multiplier
-    the two families span at most 2 * lcm(p-1, q-1) of the
-    (p-1)(q-1) units, so for these shapes the result cannot verify as
-    a starter.  classify() on the output shows exactly how it fails.
-    """
-    _require_pq_cyclotomic(p, q, k)
-    families, half_union = _pq_cyclotomic_families(p, q, 1 << k, find_common_primitive_root(p, q))
-    return _assemble(p * q, families + [(1, half_union), (lam, half_union)], 2)
+    families, root, lam = _pq_families(p, q, cs.delta)
+    recipe = Recipe(method="pq_cyclotomic", p=p, q=q, k=k, beta=beta, lam=lam, root=root)
+    return _certified(p * q, families, recipe)
 
 
 def check_minus_one_coset(p: int, q: int, k: int, r: int) -> bool:
@@ -433,18 +403,13 @@ def check_minus_one_coset(p: int, q: int, k: int, r: int) -> bool:
     _cyclotomic_shape(q, k, "q")
     delta = 1 << k
     _require((p - 1) // delta < (q - 1) // delta, "need t1 < t2")
-    _require(
-        euler_class(r, p) is ResidueClass.NQR, f"r = {r} is a quadratic residue mod {p}"
-    )
-    _require(
-        euler_class(r, q) is ResidueClass.NQR, f"r = {r} is a quadratic residue mod {q}"
-    )
+    for m in (p, q):
+        _require(euler_class(r, m) is ResidueClass.NQR, f"r = {r} is a quadratic residue mod {m}")
     modulus = p * q
     exponent = (p - 1) * (q - 1) // (1 << (k + 1))
     result = pow(r, exponent, modulus) == modulus - 1
     if is_primitive_root(r, p) and is_primitive_root(r, q):
-        e = _pq_root_index(modulus - 1, r, p, q)
-        result = result and e is not None and e % delta == delta >> 1
+        result = result and _in_half_shift(modulus - 1, r, p, q, delta)
     return result
 
 
@@ -457,14 +422,14 @@ def check_two_in_coset(p: int, q: int, k: int, r: int) -> bool:
     componentwise discrete logs of 2 through the exponent congruences.
     """
     _require(k >= 3, f"k must be >= 3, got {k}")
-    delta = 1 << k
     for name, value in (("p", p), ("q", q)):
         _require(is_prime(value), f"{name} = {value} is not prime")
-        _require((value - 1) % delta == 0, f"2^{k} does not divide {name} - 1")
+        _require(k < ((value - 1) & (1 - value)).bit_length(), f"2^{k} does not divide {name} - 1")
     _require(
         is_primitive_root(r, p) and is_primitive_root(r, q),
         f"r = {r} must be a common primitive root of {p} and {q}",
     )
+    delta = 1 << k
     half = delta >> 1
     for value in (p, q):
         index2 = discrete_log(2, r, value, value - 1) % delta
@@ -472,5 +437,4 @@ def check_two_in_coset(p: int, q: int, k: int, r: int) -> bool:
             index2 == half,
             f"class index of 2 mod {value} is {index2}, need {half}",
         )
-    e = _pq_root_index(2, r, p, q)
-    return e is not None and e % delta == half
+    return _in_half_shift(2, r, p, q, delta)

@@ -228,9 +228,9 @@ class CyclotomicStructure:
             raise InvalidModulus(f"{p} is not an odd prime")
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
+        if k >= ((p - 1) & (1 - p)).bit_length():  # checked before 2^k is built
+            raise InvalidModulus(f"2^{k} does not divide {p} - 1")
         delta = 1 << k
-        if (p - 1) % delta != 0:
-            raise InvalidModulus(f"{delta} does not divide {p} - 1")
         t = (p - 1) // delta
         if t % 2 == 0:
             raise InvalidModulus(f"(p-1)/2^k = {t} is even; k is not the exact 2-adic valuation")

@@ -91,6 +91,8 @@ def scan_cyclotomic_primes(k: int, limit: int) -> ScanReport:
     is exactly 2^(k-1)."""
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
+    if k >= limit.bit_length():  # 2^k > limit, so no p = 2^k t + 1 fits
+        return ScanReport(kind="cyclotomic-primes", bound=limit, hits=())
     delta = 1 << k
     half = delta >> 1
     hits = []

@@ -31,28 +31,11 @@ class MalformedStarter(ValueError):
     """Candidate violates the structural shape of a starter."""
 
 
-def _bad_pair(a: int, b: int, modulus: int) -> MalformedStarter:
-    """The refusal for reduced members a, b that are zero or equal."""
-    if a == 0 or b == 0:
-        return MalformedStarter(f"pair ({a}, {b}) contains 0 mod {modulus}")
-    return MalformedStarter(f"pair members coincide: {a} mod {modulus}")
-
-
 class Pair(NamedTuple):
     """Unordered pair of distinct nonzero residues, stored as lo < hi."""
 
     lo: int
     hi: int
-
-    @classmethod
-    def of(cls, a: int, b: int, modulus: int) -> "Pair":
-        a %= modulus
-        b %= modulus
-        if 0 < a < b:
-            return cls(a, b)
-        if 0 < b < a:
-            return cls(b, a)
-        raise _bad_pair(a, b, modulus)
 
 
 Verdict = tuple[bool, "str | None"]
@@ -102,8 +85,10 @@ class Starter:
                 add(a * modulus + b)
             elif 0 < b < a:
                 add(b * modulus + a)
+            elif a == 0 or b == 0:
+                raise MalformedStarter(f"pair ({a}, {b}) contains 0 mod {modulus}")
             else:
-                raise _bad_pair(a, b, modulus)
+                raise MalformedStarter(f"pair members coincide: {a} mod {modulus}")
         # tuple.__new__ builds each Pair in C, skipping Pair's Python-level __new__.
         ordered = map(divmod, sorted(keys), repeat(modulus))
         return cls(modulus, tuple(map(tuple.__new__, repeat(Pair), ordered)))
@@ -394,4 +379,10 @@ def starter_to_json(s: Starter) -> str:
 
 
 def starter_from_json(text: str) -> Starter:
-    return starter_from_dict(json.loads(text))
+    """Decode a starter document; MalformedStarter if it is not one,
+    nested too deeply for the decoder included."""
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise MalformedStarter("JSON document is nested too deeply") from None
+    return starter_from_dict(doc)

@@ -1,6 +1,10 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skolem_starters.cli import main
 from test_starters import Z19_PAIRS
@@ -53,6 +57,22 @@ def test_construct_hypothesis_violation_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "3 (mod 8)" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--method", "cyclotomic", "--p", "281"],
+        ["--method", "pq-cyclotomic", "--p", "281", "--q", "617"],
+        ["--method", "prime-power-cyclotomic", "--p", "281", "--n", "2"],
+    ],
+)
+def test_construct_huge_k_exits_2(capsys, argv):
+    # k above the 2-adic valuation of p - 1 is refused before 2^k is built.
+    code, out, err = run(capsys, "construct", *argv, "--k", str(10**20))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_construct_missing_parameter_exits_2(capsys):
@@ -147,6 +167,15 @@ def test_scan_cyclotomic_no_hits_exits_1(capsys):
     )
     assert code == 1
     assert json.loads(out)["hits"] == []
+
+
+@pytest.mark.parametrize("kind", ["cyclotomic-primes", "pq-pairs"])
+def test_scan_huge_k_is_an_empty_scan(capsys, kind):
+    # 2^k > limit: nothing to scan, and 2^k is never built.
+    code, out, err = run(capsys, "scan", "--kind", kind, "--k", str(10**20), "--limit", "1000", "--json")
+    assert code == 1
+    assert json.loads(out)["hits"] == []
+    assert err == ""
 
 
 def test_scan_cyclotomic_requires_k(capsys):
@@ -254,3 +283,101 @@ def test_verify_well_formed_document_still_verifies(capsys, tmp_path):
     for mode in (["--json"], []):
         code, _, _ = run(capsys, "verify", "--in", str(path), *mode)
         assert code == 0
+
+
+def test_verify_deeply_nested_document_exits_2(capsys, tmp_path):
+    # json.dumps cannot build this document; the decoder runs out of
+    # recursion depth on it.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    for mode in (["--json"], []):
+        code, out, err = run(capsys, "verify", "--in", str(path), *mode)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+# ---- fuzzed verify input: exit 0, 1 or 2, and nothing on stdout with 2 ------
+
+_VERDICT_KEYS = ("starter", "strong", "skolem", "cardioidal")
+_json_leaves = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=5), children, max_size=4),
+    max_leaves=6,
+)
+_odd_values = st.sampled_from([None, True, 0, -1, 2.5, "", "x", [], {}, [[]], [1, 2], {"a": 1}])
+_VALID_DOCUMENT = {
+    "modulus": 19,
+    "pairs": [list(pr) for pr in Z19_PAIRS],
+    "recipe": {"method": "qr", "p": 19},
+    "classification": dict.fromkeys(_VERDICT_KEYS, True) | {"dependent": False, "witnesses": {}},
+}
+
+
+@st.composite
+def _near_documents(draw):
+    """The Z_19 document with one or two of its parts broken."""
+    doc = json.loads(json.dumps(_VALID_DOCUMENT))
+    for _ in range(draw(st.integers(1, 2))):
+        part = draw(st.sampled_from(["value", "value", "value", "drop", "extra", "pair", "member", "verdict"]))
+        pairs, cls = doc.get("pairs"), doc.get("classification")
+        if part == "value":
+            doc[draw(st.sampled_from(sorted(_VALID_DOCUMENT)))] = draw(_odd_values | _json_leaves)
+        elif part == "drop" and doc:
+            del doc[draw(st.sampled_from(sorted(doc)))]
+        elif part == "extra":
+            doc[draw(st.text(max_size=5))] = draw(_json_values)
+        elif part == "pair" and isinstance(pairs, list) and pairs:
+            pairs[draw(st.integers(0, len(pairs) - 1))] = draw(
+                st.lists(st.integers(-20, 40) | _json_leaves, max_size=3) | _odd_values
+            )
+        elif part == "member" and isinstance(pairs, list) and pairs and isinstance(pairs[0], list) and pairs[0]:
+            pairs[0][draw(st.integers(0, len(pairs[0]) - 1))] = draw(st.integers(-20, 40) | _json_leaves)
+        elif part == "verdict" and isinstance(cls, dict) and cls:
+            key = draw(st.sampled_from(sorted(cls)))
+            if draw(st.booleans()):
+                del cls[key]
+            else:
+                cls[key] = draw(_odd_values | _json_leaves)
+    return doc
+
+
+_inline_pairs = st.lists(
+    st.tuples(st.integers(-3, 30), st.integers(-3, 30)).map(lambda ab: f"{ab[0]},{ab[1]}"), max_size=12
+).map(";".join)
+_verify_inputs = st.one_of(
+    st.tuples(st.just("document"), _near_documents() | _json_values),
+    st.tuples(
+        st.just("inline"),
+        st.integers(-5, 40).map(str) | st.text(max_size=8),
+        _inline_pairs | st.text(alphabet="0123456789,; -", max_size=24) | st.text(max_size=10),
+    ),
+)
+
+
+def _outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusing an option value exits 2
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(case=_verify_inputs, as_json=st.booleans())
+def test_verify_fuzzed_input_exits_0_1_or_2(tmp_path_factory, case, as_json):
+    if case[0] == "document":
+        path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+        path.write_text(json.dumps(case[1]))
+        argv = ["verify", "--in", str(path)]
+    else:
+        argv = ["verify", f"--modulus={case[1]}", f"--pairs={case[2]}"]
+    code, out, err = _outcome(argv + ["--json"] * as_json)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""

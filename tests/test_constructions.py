@@ -12,7 +12,6 @@ from skolem_starters.constructions import (
     prime_power_cyclotomic_starter,
     prime_power_starter,
     qr_starter,
-    two_family_pq_cyclotomic,
 )
 from skolem_starters.modnt import multiplicative_order
 from skolem_starters.search import find_common_primitive_root, scan_cyclotomic_primes, scan_qr_primes
@@ -264,10 +263,17 @@ def test_pq_cyclotomic_rejects_bad_shape():
 def test_two_family_unit_part_cannot_cover():
     # With one multiplier the unit families span 2 * lcm(280, 616) of the
     # 172480 units; the classification shows the failure concretely.
-    root = find_common_primitive_root(281, 617)
-    printed_lam = pow(root, 4, 281 * 617)  # inside <r>, as the narrow reading allows
-    s = two_family_pq_cyclotomic(281, 617, 3, printed_lam)
-    assert len(s.pairs) < (281 * 617 - 1) // 2
+    p, q = 281, 617
+    m = p * q
+    root = find_common_primitive_root(p, q)
+    printed_lam = pow(root, 4, m)  # inside <r>, as the narrow reading allows
+
+    def low_half(mod):  # the classes r^j <r^8> mod `mod`, j < 4
+        return set().union(*(naive_coset(pow(root, 8, mod), pow(root, j, mod), mod) for j in range(4)))
+
+    families = [(p, low_half(q)), (q, low_half(p)), (1, low_half(m)), (printed_lam, low_half(m))]
+    s = Starter.from_pairs(m, [(c * x % m, 2 * c * x % m) for c, xs in families for x in xs])
+    assert len(s.pairs) < (m - 1) // 2
     # wrong pair count is structural, classify refuses it outright
     with pytest.raises(MalformedStarter):
         classify(s)

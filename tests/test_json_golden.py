@@ -5,7 +5,10 @@ DIGESTS covers every recipe and parameter set the test suite builds,
 Z_173377 included, plus the pq_cyclotomic 2inv, pq (11, 43) and
 (11, 59), cyclotomic k = 4 and 5, horton 2inv and prime_power_cyclotomic
 n = 1 2inv sets, recorded before the recipes moved onto one family
-assembler; the CLI tests check that construct --json,
+assembler, and six more pq, prime_power and prime_power_cyclotomic
+sets recorded before the recipes moved onto the two family cores.
+GRID_DIGEST pins the bytes or the refusal type of about 3 700 recipe
+calls, refused ones included; the CLI tests check that construct --json,
 construct --out and verify --json write exactly that text plus a
 newline.
 """
@@ -18,6 +21,7 @@ import pytest
 import skolem_starters
 from skolem_starters.cli import main
 from skolem_starters.starters import classify, Starter, starter_to_dict, starter_to_json
+from oracles import trial_division_prime
 from test_starters import Z19_PAIRS
 
 # (recipe, arguments) -> sha256 of starter_to_json(recipe(*arguments)).
@@ -131,7 +135,17 @@ DIGESTS = {
     ('cyclotomic_starter', (2657, 5)): '506991f1a16187ca5e9e615f9ea2dfcc70fd6958749e14b92354eab0d3cec1e4',
     ('horton_starter', (19, '2inv')): 'dd1111ef82e7a5c040e21df865a94ad943e6739020b448539421e335a694c71f',
     ('prime_power_cyclotomic_starter', (281, 3, 1, '2inv')): '43e6f34a071e2656241af6662e705f096f695273910fa184a44d8aee8dcdd5b6',
+    ('pq_starter', (43, 59, 2)): '2219d8c0cdf5c5142644f2b75a67269c67832ef47fdc8d097ea9d13b8035b895',
+    ('pq_starter', (83, 107, 2)): '2c33cc05a2ce44aef8a29a3fa16b393f5049ec74e72e2b8062c3d8ee3cb63a7a',
+    ('pq_starter', (19, 59, '2inv')): 'b427e1bfd685faff63bead87e832fc6f1e20e0f2047eabf10a1b8edb3cfef06e',
+    ('prime_power_starter', (19, 2, '2inv')): 'bba3ea96f0ca2bd923edebd0b9004ff982986eecc2cea8491a34c5ab4c2fe9ba',
+    ('prime_power_starter', (43, 2, 2)): 'dedc47b85ff1ad04ed93318816591a4910e6d6c077192f249b6fa4913830a484',
+    ('prime_power_cyclotomic_starter', (617, 3, 1, '2inv')): 'b97c18a6e4462d241fca1894e11b83f11344d1e5daa35fd9eee2767cd97b9614',
 }
+
+# The sha256 over every call of _grid_calls() of the call, then its
+# starter_to_json text or the name of the exception it raised.
+GRID_DIGEST = "b8fa02f4569eab8e28db9debaa34e3ed6511656e7e7942ffb7e1bfecf656fc64"
 
 # Starters without a recipe: bare, and with a classification attached
 # (the Z_3 one carries a witness).
@@ -164,6 +178,45 @@ def test_every_tested_recipe_keeps_its_bytes():
         assert text == json.dumps(starter_to_dict(s), indent=2)
     assert not changed
     assert DIGESTS["pq_cyclotomic_starter", (281, 617, 3, 2)].startswith("f9f95240")
+
+
+def _grid_calls():
+    """(recipe, arguments) over small parameters, built and refused alike."""
+    primes = [p for p in range(2, 3000) if trial_division_prime(p)]
+    for p in primes:
+        if p < 400:
+            for beta in (2, "2inv", 3, 7):
+                yield "qr_starter", (p, beta)
+                yield "horton_starter", (p, beta)
+        for k in range(2, 6):
+            yield "cyclotomic_starter", (p, k)
+    for p in (p for p in primes if p < 300):
+        for n in range(4):
+            if p**n < 10**4:
+                yield "prime_power_starter", (p, n)
+                for k in (3, 4):
+                    yield "prime_power_cyclotomic_starter", (p, k, n)
+    small = [p for p in primes if p < 130]
+    for i, p in enumerate(small):
+        for q in small[i + 1:]:
+            for beta in (2, "2inv"):
+                yield "pq_starter", (p, q, beta)
+    for args in (
+        (281, 313, 3), (617, 281, 3), (281, 617, 2), (281, 617, 4),
+        (41, 281, 3), (281, 1033, 5), (281, 617, 3, 3),
+    ):
+        yield "pq_cyclotomic_starter", args
+
+
+def test_recipe_grid_digest():
+    digest = hashlib.sha256()
+    for recipe, args in _grid_calls():
+        try:
+            text = starter_to_json(getattr(skolem_starters, recipe)(*args))
+        except Exception as exc:
+            text = type(exc).__name__
+        digest.update(f"{recipe}{args!r}\n{text}\n".encode())
+    assert digest.hexdigest() == GRID_DIGEST
 
 
 @pytest.mark.parametrize("label", sorted(BARE))

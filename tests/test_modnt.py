@@ -210,6 +210,12 @@ def test_cyclotomic_structure_validation():
         CyclotomicStructure.for_prime(281, 3, root=2)  # ord(2) = 70
 
 
+def test_cyclotomic_structure_refuses_huge_k():
+    # Refused from the 2-adic valuation of p - 1, before 2^k is built.
+    with pytest.raises(InvalidModulus):
+        CyclotomicStructure.for_prime(281, 10**20)
+
+
 def test_cyclotomic_index_examples():
     cs = CyclotomicStructure.for_prime(281, 3)
     assert cyclotomic_index(1, cs) == 0

@@ -45,14 +45,14 @@ def z11():
 
 
 def test_pair_canonicalizes():
-    assert Pair.of(4, 2, 19) == Pair(2, 4)
-    assert Pair.of(22, 40, 19) == Pair(2, 3)
+    assert Starter.from_pairs(19, [(4, 2)]).pairs == (Pair(2, 4),)
+    assert Starter.from_pairs(19, [(22, 40)]).pairs == (Pair(2, 3),)
     with pytest.raises(MalformedStarter):
-        Pair.of(0, 4, 19)
+        Starter.from_pairs(19, [(0, 4)])
     with pytest.raises(MalformedStarter):
-        Pair.of(19, 4, 19)
+        Starter.from_pairs(19, [(19, 4)])
     with pytest.raises(MalformedStarter):
-        Pair.of(23, 4, 19)
+        Starter.from_pairs(19, [(23, 4)])
 
 
 def test_starter_sorts_and_dedupes():
