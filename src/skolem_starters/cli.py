@@ -14,12 +14,11 @@ import json
 import sys
 from typing import Any
 
-from . import constructions, modnt, search
-from .constructions import CoverageFailure, HypothesisViolation
-from .search import BoundExceeded, NoCommonRoot, SearchTimeout
+from . import constructions, search
+from .constructions import CoverageFailure
+from .search import NoCommonRoot, SearchTimeout
 from .starters import (
     classify,
-    MalformedStarter,
     Starter,
     starter_from_json,
     starter_to_dict,
@@ -308,20 +307,10 @@ def main(argv: list[str] | None = None) -> int:
     except SearchTimeout as exc:
         print(f"timeout: {exc}", file=sys.stderr)
         return EXIT_TIMEOUT
-    except (
-        UsageError,
-        HypothesisViolation,
-        CoverageFailure,
-        MalformedStarter,
-        NoCommonRoot,
-        BoundExceeded,
-        modnt.InvalidModulus,
-        modnt.NotAUnit,
-        modnt.NotPrimitiveRoot,
-        ValueError,
-        OSError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CoverageFailure, NoCommonRoot, ValueError, OSError, MemoryError) as exc:
+        # The library's other refusals are all ValueErrors.  A MemoryError (a
+        # scan sieve too large to allocate) usually has an empty message.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -24,6 +24,10 @@ verifiers.
 
 The low half of the classes of r is the union of the cosets
 r^j <r^delta>, j < delta/2 (_half_union); delta = 2 gives <r^2>.
+Doubling and negation both map it onto the high half when 2 and -1
+lie in the half-shift class r^(delta/2) <r^delta>: mod a prime power
+the power-residue test modnt.in_half_class, mod pq (units not cyclic)
+_in_half_shift, which combines two discrete logs.
 
 Hypothesis checks happen first and raise HypothesisViolation; every
 successful construction is then self-verified with all four verifiers
@@ -40,11 +44,11 @@ from typing import Any
 from .modnt import (
     crt_solve,
     cyclic_coset,
-    cyclotomic_index,
-    CyclotomicStructure,
     discrete_log,
     euler_class,
+    find_primitive_root,
     GroupContext,
+    in_half_class,
     is_prime,
     is_primitive_root,
     lift_primitive_root,
@@ -142,14 +146,13 @@ def _cyclotomic_shape(p: int, k: int, name: str = "p") -> None:
     _require(t > 1, f"({name}-1)/2^{k} must exceed 1")
 
 
-def _cyclotomic_prime(p: int, k: int, name: str = "p") -> CyclotomicStructure:
-    """The cyclotomic shape, with 2 in class 2^(k-1) of Z_p^*."""
+def _cyclotomic_prime(p: int, k: int, name: str = "p") -> None:
+    """The cyclotomic shape, with 2 in the class r^(2^(k-1)) <r^(2^k)> of Z_p^*."""
     _cyclotomic_shape(p, k, name)
-    cs = CyclotomicStructure.for_prime(p, k)
-    index2 = cyclotomic_index(2, cs)
-    half = cs.delta >> 1
-    _require(index2 == half, f"class index of 2 mod {p} is {index2}, need {half}")
-    return cs
+    delta = 1 << k
+    _require(
+        in_half_class(2, p, p - 1, delta), f"2 is not in the class r^{delta >> 1} <r^{delta}> mod {p}"
+    )
 
 
 def _require_pq_pair(p: int, q: int) -> None:
@@ -187,17 +190,16 @@ def _strata(p: int, n: int, root: int, delta: int) -> list[tuple[int, set[int]]]
 
     The strata p^i * (units mod p^(n-i)) split the nonzero residues mod
     p^n; root generates the units mod p^n.  A stratum is covered by its
-    own pairs and differences when 2 and -1 have class index delta/2 in
-    its unit group.  That follows from the hypotheses at p, but it is
-    re-checked for every stratum rather than assumed (CoverageFailure).
+    own pairs and differences when 2 and -1 lie in the class
+    root^(delta/2) <root^delta> of its unit group.  That follows from
+    the hypotheses at p, but it is re-checked for every stratum, by
+    in_half_class, rather than assumed (CoverageFailure).
     """
-    half = delta >> 1
     for i in range(n):
         m = p ** (n - i)
         for target, name in ((2, "2"), (m - 1, "-1")):
-            e = discrete_log(target, root, m, m // p * (p - 1)) % delta
-            if e != half:
-                raise CoverageFailure(f"{name} has class index {e} mod {m}, need {half}")
+            if not in_half_class(target, m, m // p * (p - 1), delta):
+                raise CoverageFailure(f"{name} is not in the class r^{delta >> 1} <r^{delta}> mod {m}")
     return [(p**i, _half_union(root, delta, p ** (n - i))) for i in range(n)]
 
 
@@ -302,10 +304,11 @@ def cyclotomic_starter(p: int, k: int, beta: int | str = BETA_TWO) -> Starter:
     automatically (t odd), which makes the differences sweep it too.
     This is the n = 1 case of prime_power_cyclotomic_starter.
     """
-    cs = _cyclotomic_prime(p, k)
+    _cyclotomic_prime(p, k)
     beta = _doubling_beta(beta)
-    recipe = Recipe(method="cyclotomic", p=p, k=k, beta=beta, root=cs.root)
-    return _certified(p, _strata(p, 1, cs.root, cs.delta), recipe)
+    root = find_primitive_root(p)
+    recipe = Recipe(method="cyclotomic", p=p, k=k, beta=beta, root=root)
+    return _certified(p, _strata(p, 1, root, 1 << k), recipe)
 
 
 def prime_power_starter(p: int, n: int, beta: int | str = BETA_TWO) -> Starter:
@@ -334,12 +337,12 @@ def prime_power_cyclotomic_starter(
     Stratum i uses x over the low-half class union of the unit group
     mod p^(n-i), taken with respect to the lifted primitive root.
     """
-    cs = _cyclotomic_prime(p, k)
+    _cyclotomic_prime(p, k)
     _require(n >= 1, f"n must be >= 1, got {n}")
     beta = _doubling_beta(beta)
-    root = lift_primitive_root(cs.root, p, n)
+    root = lift_primitive_root(find_primitive_root(p), p, n)
     recipe = Recipe(method="prime_power_cyclotomic", p=p, k=k, n=n, beta=beta, root=root)
-    return _certified(p**n, _strata(p, n, root, cs.delta), recipe)
+    return _certified(p**n, _strata(p, n, root, 1 << k), recipe)
 
 
 def pq_starter(p: int, q: int, beta: int | str = BETA_TWO) -> Starter:
@@ -381,11 +384,11 @@ def pq_cyclotomic_starter(p: int, q: int, k: int, beta: int | str = BETA_TWO) ->
     pairs (see _pq_families).  The smallest unit outside <r> is
     recorded as lambda in the recipe.
     """
-    cs = _cyclotomic_prime(p, k, "p")
+    _cyclotomic_prime(p, k, "p")
     _cyclotomic_prime(q, k, "q")
     _require_pq_pair(p, q)
     beta = _doubling_beta(beta)
-    families, root, lam = _pq_families(p, q, cs.delta)
+    families, root, lam = _pq_families(p, q, 1 << k)
     recipe = Recipe(method="pq_cyclotomic", p=p, q=q, k=k, beta=beta, lam=lam, root=root)
     return _certified(p * q, families, recipe)
 
@@ -416,9 +419,10 @@ def check_minus_one_coset(p: int, q: int, k: int, r: int) -> bool:
 def check_two_in_coset(p: int, q: int, k: int, r: int) -> bool:
     """Certify that 2 lifts into the half-shift coset mod pq.
 
-    Preconditions: r is a common primitive root and the class index
-    of 2 is 2^(k-1) both mod p and mod q.  The conclusion -- 2 lies in
-    r^(2^(k-1)) <r^(2^k)> mod pq -- is then confirmed by combining the
+    Preconditions: 2^k divides p - 1 and q - 1 (t even is allowed), r
+    is a common primitive root, and 2 lies in the class
+    r^(2^(k-1)) <r^(2^k)> both mod p and mod q.  The conclusion -- 2
+    lies in that coset mod pq -- is then confirmed by combining the
     componentwise discrete logs of 2 through the exponent congruences.
     """
     _require(k >= 3, f"k must be >= 3, got {k}")
@@ -430,11 +434,9 @@ def check_two_in_coset(p: int, q: int, k: int, r: int) -> bool:
         f"r = {r} must be a common primitive root of {p} and {q}",
     )
     delta = 1 << k
-    half = delta >> 1
     for value in (p, q):
-        index2 = discrete_log(2, r, value, value - 1) % delta
         _require(
-            index2 == half,
-            f"class index of 2 mod {value} is {index2}, need {half}",
+            in_half_class(2, value, value - 1, delta),
+            f"2 is not in the class r^{delta >> 1} <r^{delta}> mod {value}",
         )
     return _in_half_shift(2, r, p, q, delta)

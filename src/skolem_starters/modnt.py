@@ -1,8 +1,8 @@
 """Exact modular arithmetic on odd moduli.
 
 Primality, multiplicative orders, primitive roots and their lift to
-prime powers, Euler-criterion residue classes, cyclotomic class
-indexing, cyclic cosets, Chinese remaindering, and a
+prime powers, Euler-criterion residue classes, the root-free
+half-class test, cyclic cosets, Chinese remaindering, and a
 baby-step/giant-step discrete log.
 
 Residues are canonical representatives in 1..m-1 (0 is never a unit).
@@ -208,47 +208,17 @@ def discrete_log(x: int, r: int, m: int, order: int) -> int:
     raise NotInSubgroup(f"{x} is not a power of {r} mod {m}")
 
 
-@dataclass(frozen=True)
-class CyclotomicStructure:
-    """A prime p = 2^k * t + 1 (t odd > 1) with a chosen primitive root.
+def in_half_class(x: int, m: int, order: int, delta: int) -> bool:
+    """Whether x lies in the half-shift class r^(delta/2) <r^delta> mod m.
 
-    The delta = 2^k cosets r^j * <r^delta> partition Z_p^*; the class
-    index of a unit is its discrete log mod delta.
+    The unit group mod m must be cyclic of the given order, with delta
+    a power of 2 dividing it, as for an odd prime power m.  Then -1 is
+    its only element of order 2, and x = r^e has x^(order/delta) = -1
+    exactly when e = delta/2 (mod delta), for every generator r: a
+    power-residue test, with no primitive root and no discrete log.
+    The units mod pq are not cyclic, so this does not apply there.
     """
-
-    p: int
-    k: int
-    delta: int
-    t: int
-    root: int
-
-    @classmethod
-    def for_prime(cls, p: int, k: int, root: int | None = None) -> "CyclotomicStructure":
-        if not is_prime(p) or p == 2:
-            raise InvalidModulus(f"{p} is not an odd prime")
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        if k >= ((p - 1) & (1 - p)).bit_length():  # checked before 2^k is built
-            raise InvalidModulus(f"2^{k} does not divide {p} - 1")
-        delta = 1 << k
-        t = (p - 1) // delta
-        if t % 2 == 0:
-            raise InvalidModulus(f"(p-1)/2^k = {t} is even; k is not the exact 2-adic valuation")
-        if t <= 1:
-            raise InvalidModulus(f"(p-1)/2^k must exceed 1, got {t}")
-        if root is None:
-            root = find_primitive_root(p)
-        elif not is_primitive_root(root, p):
-            raise NotPrimitiveRoot(f"{root} does not generate the units mod {p}")
-        return cls(p=p, k=k, delta=delta, t=t, root=root)
-
-
-def cyclotomic_index(x: int, cs: CyclotomicStructure) -> int:
-    """Index j of the class r^j * <r^delta> containing x."""
-    x %= cs.p
-    if x == 0:
-        raise NotAUnit(f"0 is not a unit mod {cs.p}")
-    return discrete_log(x, cs.root, cs.p, cs.p - 1) % cs.delta
+    return pow(x, order // delta, m) == m - 1
 
 
 def cyclic_coset(g: int, shift: int, m: int) -> frozenset[int]:

@@ -1,10 +1,12 @@
 """Parameter scans and exhaustive brute-force oracles at small moduli.
 
 The scanners find primes / prime pairs admissible for the doubling
-constructions; the exhaustive searcher settles Skolem and strong
-Skolem existence for a single small modulus by complete backtracking,
-and enumerate_starters lists every starter outright as an independent
-cross-check of both the verifiers and the searcher.
+constructions (the cyclotomic scan walks p = 2^k t + 1, t odd, and
+tests 2 with modnt.in_half_class); the exhaustive searcher settles
+Skolem and strong Skolem existence for a single small modulus
+(n <= 1001) by complete backtracking, and enumerate_starters lists
+every starter outright as an independent cross-check of both the
+verifiers and the searcher.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .modnt import (
-    cyclotomic_index,
-    CyclotomicStructure,
+    find_primitive_root,
+    in_half_class,
     InvalidModulus,
     is_prime,
     is_primitive_root,
@@ -34,7 +36,7 @@ class SearchTimeout(TimeoutError):
 
 
 class BoundExceeded(ValueError):
-    """Requested modulus is beyond the exhaustive-enumeration guard."""
+    """Requested modulus is beyond the exhaustive search or enumeration guard."""
 
 
 @dataclass(frozen=True)
@@ -63,12 +65,13 @@ class ScanReport:
 def _primes_upto(limit: int) -> list[int]:
     if limit < 2:
         return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
+    # Zero-filled: a repeated bytearray that cannot be allocated also
+    # prints a stray SystemError before its MemoryError.
+    composite = bytearray(limit + 1)
     for i in range(2, math.isqrt(limit) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(2, limit + 1) if sieve[i]]
+        if not composite[i]:
+            composite[i * i :: i] = b"\x01" * len(range(i * i, limit + 1, i))
+    return [i for i in range(2, limit + 1) if not composite[i]]
 
 
 def scan_qr_primes(limit: int) -> ScanReport:
@@ -87,36 +90,28 @@ def scan_qr_primes(limit: int) -> ScanReport:
 
 
 def scan_cyclotomic_primes(k: int, limit: int) -> ScanReport:
-    """Primes p = 2^k * t + 1 <= limit (t odd > 1) whose class index of 2
-    is exactly 2^(k-1)."""
+    """Primes p = 2^k * t + 1 <= limit (t odd > 1) with 2 in the class
+    r^(2^(k-1)) <r^(2^k)>, that is, class index of 2 exactly 2^(k-1)."""
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
     if k >= limit.bit_length():  # 2^k > limit, so no p = 2^k t + 1 fits
         return ScanReport(kind="cyclotomic-primes", bound=limit, hits=())
     delta = 1 << k
-    half = delta >> 1
     hits = []
-    for p in _primes_upto(limit):
-        if (p - 1) % delta != 0:
-            continue
-        t = (p - 1) // delta
-        if t % 2 == 0 or t <= 1:
-            continue
-        cs = CyclotomicStructure.for_prime(p, k)
-        index2 = cyclotomic_index(2, cs)
-        if index2 != half:
-            continue
-        hits.append(
-            ScanHit(
-                params={"p": p, "k": k},
-                certificates={
-                    "t": t,
-                    "root": cs.root,
-                    "index2": index2,
-                    "ord2": multiplicative_order(2, p),
-                },
+    # Start 3 * 2^k + 1, step 2^(k+1): exactly the p = 2^k t + 1 with t odd >= 3.
+    for p in range(3 << k | 1, limit + 1, 2 << k):
+        if is_prime(p) and in_half_class(2, p, p - 1, delta):
+            hits.append(
+                ScanHit(
+                    params={"p": p, "k": k},
+                    certificates={
+                        "t": (p - 1) >> k,
+                        "root": find_primitive_root(p),
+                        "index2": delta >> 1,
+                        "ord2": multiplicative_order(2, p),
+                    },
+                )
             )
-        )
     return ScanReport(kind="cyclotomic-primes", bound=limit, hits=tuple(hits))
 
 
@@ -175,6 +170,12 @@ def scan_pq_pairs(limit: int, mode: str = "qr", k: int | None = None) -> ScanRep
     return ScanReport(kind=kind, bound=limit, hits=tuple(hits))
 
 
+# Exhaustive search recurses once per difference, (n - 1) / 2 deep; its
+# bound keeps that well inside the interpreter's recursion limit.
+_SEARCH_BOUND = 1001
+_ENUMERATION_BOUND = 15
+
+
 def exhaustive_skolem_search(
     n: int,
     *,
@@ -189,10 +190,13 @@ def exhaustive_skolem_search(
     order is deterministic.  Pruning: endpoint reuse, plus sum
     collision / zero sum when require_strong.  An empty result means
     proven nonexistence; running out of wall clock raises
-    SearchTimeout instead, so the two can never be confused.
+    SearchTimeout instead, so the two can never be confused.  A modulus
+    above 1001 raises BoundExceeded.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"modulus must be odd and >= 3, got {n}")
+    if n > _SEARCH_BOUND:
+        raise BoundExceeded(f"exhaustive search is capped at n <= {_SEARCH_BOUND}, got {n}")
     # Written so that NaN fails too: no clock reading ever exceeds it.
     if timeout is not None and not timeout >= 0:
         raise ValueError(f"timeout must be a non-negative number of seconds, got {timeout}")
@@ -233,9 +237,6 @@ def exhaustive_skolem_search(
 
     place(k)
     return solutions
-
-
-_ENUMERATION_BOUND = 15
 
 
 def enumerate_starters(n: int) -> list[Starter]:

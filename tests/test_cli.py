@@ -184,6 +184,15 @@ def test_scan_cyclotomic_requires_k(capsys):
     assert "--k" in err
 
 
+def test_scan_sieve_out_of_memory_exits_2(capsys):
+    # A sieve of 10^18 bytes is beyond the virtual address space of today's
+    # 64-bit machines (at most 2^57 bytes), so its allocation fails at once.
+    code, out, err = run(capsys, "scan", "--kind", "qr-primes", "--limit", str(10**18), "--json")
+    assert code == 2
+    assert out == ""
+    assert err == "error: MemoryError\n"
+
+
 def test_scan_pq_pairs(capsys):
     code, out, _ = run(capsys, "scan", "--kind", "pq-pairs", "--limit", "25", "--json")
     assert code == 0
@@ -221,6 +230,13 @@ def test_search_bad_timeout_exits_2(capsys, timeout):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "timeout" in err
+
+
+def test_search_modulus_beyond_bound_exits_2(capsys):
+    code, out, err = run(capsys, "search", "--modulus", "20001")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "1001" in err
 
 
 def test_search_all_modulus_3(capsys):

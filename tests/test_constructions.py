@@ -134,6 +134,12 @@ def test_cyclotomic_rejects_bad_shape():
         cyclotomic_starter(97, 3)  # (p-1)/8 = 12 even
     with pytest.raises(HypothesisViolation):
         cyclotomic_starter(17, 4)  # t = 1
+    with pytest.raises(HypothesisViolation):
+        cyclotomic_starter(91, 1)  # not prime, and k < 3
+    with pytest.raises(HypothesisViolation):
+        cyclotomic_starter(91, 3)  # not prime
+    with pytest.raises(HypothesisViolation):
+        cyclotomic_starter(281, 10**20)  # refused before 2^k is built
 
 
 # ---- prime_power_starter ---------------------------------------------------------
@@ -308,6 +314,12 @@ def test_minus_one_coset_accepts_non_root_nqr():
 
 def test_two_in_coset_certificate():
     assert check_two_in_coset(281, 617, 3, 3)
+
+
+def test_two_in_coset_accepts_even_t():
+    # 113 = 2^3 * 14 + 1 and 577 = 2^3 * 72 + 1: the certificate needs only
+    # 2^k | p - 1, not the recipes' t odd > 1.
+    assert check_two_in_coset(113, 577, 3, 5) is True
 
 
 def test_two_in_coset_rejects_non_root():

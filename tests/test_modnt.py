@@ -8,14 +8,13 @@ from skolem_starters.modnt import (
     crt_inverse,
     crt_solve,
     cyclic_coset,
-    cyclotomic_index,
-    CyclotomicStructure,
     discrete_log,
     euler_class,
     euler_phi,
     factorize,
     find_primitive_root,
     GroupContext,
+    in_half_class,
     InvalidModulus,
     is_prime,
     lift_primitive_root,
@@ -197,56 +196,53 @@ def test_discrete_log_full_sweep_vs_naive(m, r):
 # ---- cyclotomic classes ----------------------------------------------------
 
 
-def test_cyclotomic_structure_validation():
-    cs = CyclotomicStructure.for_prime(281, 3)
-    assert (cs.delta, cs.t, cs.root) == (8, 35, 3)
-    with pytest.raises(InvalidModulus):
-        CyclotomicStructure.for_prime(17, 4)  # t = 1
-    with pytest.raises(InvalidModulus):
-        CyclotomicStructure.for_prime(97, 3)  # (p-1)/8 even
-    with pytest.raises(InvalidModulus):
-        CyclotomicStructure.for_prime(91, 1)  # not prime
-    with pytest.raises(NotPrimitiveRoot):
-        CyclotomicStructure.for_prime(281, 3, root=2)  # ord(2) = 70
-
-
-def test_cyclotomic_structure_refuses_huge_k():
-    # Refused from the 2-adic valuation of p - 1, before 2^k is built.
-    with pytest.raises(InvalidModulus):
-        CyclotomicStructure.for_prime(281, 10**20)
-
-
-def test_cyclotomic_index_examples():
-    cs = CyclotomicStructure.for_prime(281, 3)
-    assert cyclotomic_index(1, cs) == 0
-    assert cyclotomic_index(cs.root, cs) == 1
-    assert cyclotomic_index(2, cs) == 4
-    with pytest.raises(NotAUnit):
-        cyclotomic_index(281, cs)
-
-
 @pytest.mark.parametrize("p,k", [(281, 3), (41, 3), (11, 1), (617, 3)])
 def test_cyclotomic_classes_partition(p, k):
-    cs = CyclotomicStructure.for_prime(p, k)
+    root, delta = find_primitive_root(p), 1 << k
     seen: set[int] = set()
-    for j in range(cs.delta):
-        cls = cyclic_coset(pow(cs.root, cs.delta, p), pow(cs.root, j, p), p)
-        assert len(cls) == (p - 1) // cs.delta
+    for j in range(delta):
+        cls = cyclic_coset(pow(root, delta, p), pow(root, j, p), p)
+        assert len(cls) == (p - 1) // delta
         assert not (cls & seen)
-        assert all(cyclotomic_index(x, cs) == j for x in list(cls)[:4])
+        assert all(naive_dlog(x, root, p) % delta == j for x in list(cls)[:4])
+        assert all(in_half_class(x, p, p - 1, delta) == (j == delta >> 1) for x in cls)
         seen |= cls
     assert seen == set(range(1, p))
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    x=st.integers(min_value=1, max_value=280),
-    y=st.integers(min_value=1, max_value=280),
-)
-def test_cyclotomic_index_is_additive(x, y):
-    cs = CyclotomicStructure.for_prime(281, 3)
-    lhs = cyclotomic_index(x * y % 281, cs)
-    assert lhs == (cyclotomic_index(x, cs) + cyclotomic_index(y, cs)) % 8
+def test_in_half_class_examples():
+    # 281 = 2^3 * 35 + 1 with root 3: 2 = 3^e with e = 4 (mod 8)
+    assert in_half_class(2, 281, 280, 8)
+    assert in_half_class(280, 281, 280, 8)
+    assert not in_half_class(1, 281, 280, 8)
+    assert not in_half_class(3, 281, 280, 8)
+    # 2 is a non-residue mod 11^2; mod 41 = 2^3 * 5 + 1 its class index is 2 (mod 8)
+    assert in_half_class(2, 121, 110, 2)
+    assert not in_half_class(2, 41, 40, 8)
+
+
+# Largest prime per exponent, keeping the prime powers below about 10^5.
+_HALF_CLASS_PRIMES = {1: 3000, 2: 300, 3: 47}
+
+
+@pytest.mark.parametrize("n", sorted(_HALF_CLASS_PRIMES))
+def test_in_half_class_matches_discrete_log_index(n):
+    # Against the class index e mod 2^k of the discrete log e to a generator
+    # of the units mod p^n, for every k up to the 2-adic valuation of p - 1.
+    for p in range(3, _HALF_CLASS_PRIMES[n] + 1, 2):
+        if not trial_division_prime(p):
+            continue
+        m = p**n
+        order = m // p * (p - 1)
+        root = lift_primitive_root(find_primitive_root(p), p, n)
+        valuation = ((p - 1) & (1 - p)).bit_length() - 1
+        for x in (2, m - 1, 3, 5, root, m - 2):
+            if x % p == 0:
+                continue
+            e = discrete_log(x, root, m, order)
+            for k in range(1, valuation + 1):
+                delta = 1 << k
+                assert in_half_class(x, m, order, delta) == (e % delta == delta >> 1), (x, m, k)
 
 
 # ---- cyclic cosets ---------------------------------------------------------

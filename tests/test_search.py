@@ -163,6 +163,16 @@ def test_search_rejects_even_modulus():
         exhaustive_skolem_search(8)
 
 
+def test_search_bound():
+    # The search recurses once per difference; past the bound it would
+    # overflow the interpreter's stack instead of answering.
+    for n in (1003, 20001):
+        with pytest.raises(BoundExceeded):
+            exhaustive_skolem_search(n)
+    with pytest.raises(SearchTimeout):
+        exhaustive_skolem_search(1001, timeout=0.25)
+
+
 def test_search_find_all_at_11():
     all_skolem = exhaustive_skolem_search(11, find_all=True)
     strong_skolem = exhaustive_skolem_search(11, require_strong=True, find_all=True)
