@@ -4,6 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skolem_starters.constructions import (
+    check_two_in_coset,
+    HypothesisViolation,
+    pq_cyclotomic_starter,
+    prime_power_cyclotomic_starter,
+)
 from skolem_starters.modnt import (
     crt_inverse,
     crt_solve,
@@ -194,6 +200,31 @@ def test_discrete_log_full_sweep_vs_naive(m, r):
 
 
 # ---- cyclotomic classes ----------------------------------------------------
+
+
+def test_cyclotomic_structure_validation():
+    # 281 = 2^3 * 35 + 1: the shape and root the cyclotomic recipes build on.
+    p, delta = 281, 8
+    assert (((p - 1) & (1 - p)), (p - 1) // delta, find_primitive_root(p)) == (8, 35, 3)
+    with pytest.raises(NotPrimitiveRoot):
+        lift_primitive_root(2, p, 1)  # ord(2) = 70
+    # The shapes refused by cyclotomic_starter are refused by the Z_{p^n}
+    # and Z_{pq} recipes too.
+    for bad, k in [(17, 4), (97, 3), (91, 3)]:  # t = 1, t = 12 even, not prime
+        with pytest.raises(HypothesisViolation):
+            prime_power_cyclotomic_starter(bad, k, 2)
+        with pytest.raises(HypothesisViolation):
+            pq_cyclotomic_starter(bad, 617, k)
+
+
+def test_cyclotomic_structure_refuses_huge_k():
+    # Refused from the 2-adic valuation of p - 1, before 2^k is built.
+    with pytest.raises(HypothesisViolation):
+        prime_power_cyclotomic_starter(281, 10**20, 2)
+    with pytest.raises(HypothesisViolation):
+        pq_cyclotomic_starter(281, 617, 10**20)
+    with pytest.raises(HypothesisViolation):
+        check_two_in_coset(281, 617, 10**20, 3)
 
 
 @pytest.mark.parametrize("p,k", [(281, 3), (41, 3), (11, 1), (617, 3)])
