@@ -4,10 +4,10 @@ The package splits into five layers:
 
   modnt          exact modular arithmetic (primality, primitive roots,
                  residue classes, the root-free half-class test,
-                 cyclic cosets, discrete logs, CRT)
+                 discrete logs, CRT)
   starters       the Pair/Starter types and the four verifiers
   constructions  explicit doubling-pair recipes for Z_p, Z_{p^n}, Z_{pq},
-                 each a list of pair families run by one assembler
+                 each one certified walk over the orbits of a multiplier
   search         admissible-parameter scans and exhaustive brute force
   cli            the skolem-starters command-line tool
 """

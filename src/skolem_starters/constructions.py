@@ -1,65 +1,62 @@
 """Explicit constructions of strong Skolem (cardioidal) starters.
 
-Every recipe is one instance of the same idea: doubling pairs
-{c*x, beta*c*x} (beta = 2 or the inverse of 2), one family per
-multiplier c, with x over a union of cosets of a subgroup, chosen so
-that the pair members and the +- differences each sweep out the
-nonzero residues exactly once.  A recipe checks its hypotheses, builds
-its Recipe, and takes its families (c, xs) from one of two cores:
-_strata for Z_{p^n} (Z_p is n = 1) or _pq_families for Z_{pq}.
-_certified builds every pair, canonicalizes once and runs the four
-verifiers.
+Every recipe is one instance of the same idea (Ogandzhanyants,
+Kondratieva and Shalaby, Strong Skolem starters, J. Combin. Des. 27,
+2019): keep the low half of every orbit of a multiplier r and pair
+each kept x with beta*x, beta = 2 or the inverse of 2 (any
+non-residue for horton_starter).  One walk, _walk, visits each orbit
+x = c * r^e mod m from its least residue c and keeps the x with
+e mod delta < delta/2.  A recipe checks its hypotheses, picks m, r
+and delta, walks once and certifies the pairs (_certified):
 
-  horton_starter            Z_p,   x over the quadratic residues, any
-                            non-residue multiplier (strong only)
-  qr_starter                Z_p,   p = 3 (mod 8), multiplier 2 or 2^-1
-  cyclotomic_starter        Z_p,   p = 2^k t + 1, x over the low half
-                            of the cyclotomic classes
-  prime_power_starter       Z_{p^n}, one family per unit stratum
-                            p^i * (units mod p^(n-i)), x over <r^2>
-  prime_power_cyclotomic_starter   the cyclotomic variant of the above
-  pq_starter                Z_{pq}, four families: p * QR(q),
-                            q * QR(p), and <r^2>, lambda * <r^2>
-  pq_cyclotomic_starter     the cyclotomic variant for p, q = 1 (mod 8)
+  Z_p      qr, horton (r primitive, delta = 2) and cyclotomic
+           (p = 2^k t + 1, delta = 2^k)
+  Z_{p^n}  prime_power and prime_power_cyclotomic, r the lifted
+           root: its orbits are the strata p^i * (units mod p^(n-i))
+  Z_{pq}   pq and pq_cyclotomic, r a common primitive root: its
+           orbits are p * (units mod q), q * (units mod p) and the
+           cosets of <r>; the second unit leader is lambda
 
-The low half of the classes of r is the union of the cosets
-r^j <r^delta>, j < delta/2 (_half_union); delta = 2 gives <r^2>.
-Doubling and negation both map it onto the high half when 2 and -1
-lie in the half-shift class r^(delta/2) <r^delta>: mod a prime power
-the power-residue test modnt.in_half_class, mod pq (units not cyclic)
-_in_half_shift, which combines two discrete logs.
+Doubling and negation both map the kept half of an orbit onto the
+other half when 2 and -1 lie in the half-shift class
+r^(delta/2) <r^delta>: mod a prime power the power-residue test
+modnt.in_half_class, mod pq (units not cyclic) _in_half_shift, which
+combines two discrete logs.
 
-Hypothesis checks happen first and raise HypothesisViolation; every
-successful construction is then self-verified with all four verifiers
-before it is returned, so an invalid object can never escape --
-verification failure raises CoverageFailure with the witnesses.
+A modulus above _CONSTRUCTION_BOUND raises BoundExceeded before any
+arithmetic.  Hypothesis checks come next and raise
+HypothesisViolation; every successful construction is then
+self-verified with all four verifiers before it is returned, so an
+invalid object can never escape -- verification failure raises
+CoverageFailure with the witnesses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 from .modnt import (
     crt_solve,
-    cyclic_coset,
     discrete_log,
     euler_class,
     find_primitive_root,
-    GroupContext,
     in_half_class,
     is_prime,
     is_primitive_root,
     lift_primitive_root,
-    quadratic_residues,
     ResidueClass,
 )
-from .search import find_common_primitive_root
+from .search import BoundExceeded, find_common_primitive_root
 from .starters import classify, Starter
 
 BETA_TWO = 2
 BETA_TWO_INVERSE = "2inv"
+
+# Largest modulus a recipe builds; a build near it (Z_999979) peaks at
+# about 190 MB.  Z_173377 and Z_78961 = 281^2 sit well inside it.
+_CONSTRUCTION_BOUND = 10**6
 
 
 class HypothesisViolation(ValueError):
@@ -67,7 +64,7 @@ class HypothesisViolation(ValueError):
 
 
 class CoverageFailure(RuntimeError):
-    """Assembled pair families do not partition the nonzero residues."""
+    """The walked pairs do not form a starter with the promised verdicts."""
 
 
 @dataclass(frozen=True)
@@ -105,13 +102,21 @@ def normalize_beta(beta: int | str) -> int | str:
     """Canonicalize a multiplier argument to 2, "2inv", or a residue."""
     if beta in (2, "2"):
         return BETA_TWO
-    if beta in (BETA_TWO_INVERSE, "two_inverse", "2^-1"):
+    if beta == BETA_TWO_INVERSE:
         return BETA_TWO_INVERSE
     if isinstance(beta, int):
         return beta
     if isinstance(beta, str) and beta.isdigit():
         return int(beta)
     raise ValueError(f"unrecognized beta {beta!r}")
+
+
+def _require_bounded(p: int, n: int = 1) -> None:
+    """p^n is at most _CONSTRUCTION_BOUND; a huge n is refused before p^n
+    is built."""
+    if n > _CONSTRUCTION_BOUND.bit_length() or n > 0 and p**n > _CONSTRUCTION_BOUND:
+        shown = p if n == 1 else f"{p}^{n}"
+        raise BoundExceeded(f"modulus {shown} exceeds the construction bound {_CONSTRUCTION_BOUND}")
 
 
 def _doubling_beta(beta: int | str) -> int | str:
@@ -160,14 +165,26 @@ def _require_pq_pair(p: int, q: int) -> None:
     _require((q - 1) % (p - 1) != 0, f"(p-1) = {p - 1} divides (q-1) = {q - 1}")
 
 
-def _half_union(root: int, delta: int, m: int) -> set[int]:
-    """Union of the cosets root^j <root^delta> mod m, j = 0 .. delta/2 - 1."""
-    sub = cyclic_coset(pow(root, delta, m), 1, m)
-    out: set[int] = set()
-    for j in range(delta >> 1):
-        shift = pow(root, j, m)
-        out.update(shift * s % m for s in sub)
-    return out
+def _walk(modulus: int, root: int, delta: int, mult: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """The pairs {x, mult*x} over the low half of every orbit of
+    x -> root*x, and the orbit leaders.
+
+    Each least residue c not yet visited leads the orbit x = c * root^e,
+    and x is kept when e mod delta < delta/2; delta must divide every
+    orbit length.
+    """
+    seen = bytearray(modulus)
+    pairs, leaders = [], []
+    for c in range(1, modulus):
+        if not seen[c]:
+            leaders.append(c)
+            x, e = c, 0
+            while not seen[x]:
+                seen[x] = 1
+                if e % delta < delta >> 1:
+                    pairs.append((x, x * mult % modulus))
+                x, e = x * root % modulus, e + 1
+    return pairs, leaders
 
 
 def _in_half_shift(x: int, root: int, p: int, q: int, delta: int) -> bool:
@@ -185,33 +202,33 @@ def _in_half_shift(x: int, root: int, p: int, q: int, delta: int) -> bool:
     return solved is not None and solved[0] % delta == delta >> 1
 
 
-def _strata(p: int, n: int, root: int, delta: int) -> list[tuple[int, set[int]]]:
-    """The families (p^i, low half of the classes of root mod p^(n-i)), i < n.
+def _prime_power(p: int, n: int, root: int, delta: int, recipe: Recipe) -> Starter:
+    """The certified walk on Z_{p^n}, root generating the units mod p^n.
 
-    The strata p^i * (units mod p^(n-i)) split the nonzero residues mod
-    p^n; root generates the units mod p^n.  A stratum is covered by its
-    own pairs and differences when 2 and -1 lie in the class
-    root^(delta/2) <root^delta> of its unit group.  That follows from
-    the hypotheses at p, but it is re-checked for every stratum, by
-    in_half_class, rather than assumed (CoverageFailure).
+    Its orbits are the strata p^i * (units mod p^(n-i)), i < n.  A
+    stratum is covered by its own pairs and differences when 2 and -1
+    lie in the class root^(delta/2) <root^delta> of its unit group.
+    That follows from the hypotheses at p, but it is re-checked for
+    every stratum, by in_half_class, rather than assumed
+    (CoverageFailure).
     """
     for i in range(n):
         m = p ** (n - i)
         for target, name in ((2, "2"), (m - 1, "-1")):
             if not in_half_class(target, m, m // p * (p - 1), delta):
                 raise CoverageFailure(f"{name} is not in the class r^{delta >> 1} <r^{delta}> mod {m}")
-    return [(p**i, _half_union(root, delta, p ** (n - i))) for i in range(n)]
+    pairs, _ = _walk(p**n, root, delta, _beta_multiplier(recipe.beta, p**n))
+    return _certified(p**n, pairs, recipe)
 
 
-def _pq_families(p: int, q: int, delta: int) -> tuple[list[tuple[int, set[int]]], int, int]:
-    """The Z_{pq} families, the common primitive root r, and lambda.
+def _pq(p: int, q: int, delta: int, recipe: Recipe) -> Starter:
+    """The certified walk on Z_{pq} with the smallest common primitive
+    root r, which the recipe records with lambda.
 
-    p * H_q and q * H_p cover the multiples of p and of q, H_m the low
-    half of the classes of r mod m.  With 2 and -1 both in the coset
-    r^(delta/2) <r^delta> of R = <r> (CoverageFailure if not), each
-    coset c*R splits into doubling pairs {c x, 2 c x}, x over the low
-    half H of R (H and 2H tile R, and -H = 2H).  The multipliers c are
-    the smallest yet-uncovered units; lambda is the first after 1.
+    The orbits of r are p * (units mod q), q * (units mod p) and the
+    cosets of <r> in the units.  They are covered when 2 and -1 lie in
+    the coset r^(delta/2) <r^delta> (CoverageFailure if not).  lambda
+    is the first unit leader after 1, the smallest unit outside <r>.
     """
     modulus = p * q
     root = find_common_primitive_root(p, q)
@@ -220,39 +237,19 @@ def _pq_families(p: int, q: int, delta: int) -> tuple[list[tuple[int, set[int]]]
             raise CoverageFailure(
                 f"{name} is not in the coset r^{delta >> 1} <r^{delta}> mod {modulus}"
             )
-    half_union = _half_union(root, delta, modulus)
-    span = half_union | {2 * x % modulus for x in half_union}  # span == <r>
-    unit_count = (p - 1) * (q - 1)
-    covered = set(span)
-    multipliers = [1]
-    c = 2
-    while len(covered) < unit_count:
-        while c in covered or c % p == 0 or c % q == 0:
-            c += 1
-            if c >= modulus:
-                raise CoverageFailure(
-                    f"transversal of <r> mod {modulus} incomplete: "
-                    f"{len(covered)} of {unit_count} units covered"
-                )
-        multipliers.append(c)
-        covered.update(c * y % modulus for y in span)
-    families = [(p, _half_union(root, delta, q)), (q, _half_union(root, delta, p))]
-    families += [(c, half_union) for c in multipliers]
-    return families, root, multipliers[1]
+    pairs, leaders = _walk(modulus, root, delta, _beta_multiplier(recipe.beta, modulus))
+    lam = next(c for c in leaders[1:] if c % p and c % q)
+    return _certified(modulus, pairs, replace(recipe, lam=lam, root=root))
 
 
-def _certified(modulus: int, families: list, recipe: Recipe, *, all_four: bool = True) -> Starter:
-    """The pairs {c*x, beta*c*x} mod modulus for every family (c, xs),
-    with beta from the recipe, canonicalized and self-verified.
+def _certified(modulus: int, pairs: list, recipe: Recipe, *, all_four: bool = True) -> Starter:
+    """The pairs, canonicalized and self-verified.
 
     The result carries the recipe and a fresh classification.  It must
     pass all four verifiers (with all_four=False: starter and strong);
     otherwise CoverageFailure reports the witnesses.
     """
-    mult = _beta_multiplier(recipe.beta, modulus)
-    s = Starter.from_pairs(
-        modulus, [(c * x % modulus, c * x * mult % modulus) for c, xs in families for x in xs]
-    )
+    s = Starter.from_pairs(modulus, pairs)
     cls = classify(s)
     required = cls.all_four if all_four else (cls.is_starter and cls.is_strong)
     if not required:
@@ -270,6 +267,7 @@ def horton_starter(p: int, beta: int | str) -> Starter:
     than -1.  Strong and a starter always; Skolem / cardioidal only
     for the doubling multipliers, which qr_starter specializes to.
     """
+    _require_bounded(p)
     _require_qr_prime(p, mod=4)
     beta = normalize_beta(beta)
     beta_r = _beta_multiplier(beta, p)
@@ -277,7 +275,8 @@ def horton_starter(p: int, beta: int | str) -> Starter:
     _require(euler_class(beta_r, p) is ResidueClass.NQR, f"beta = {beta_r} is a quadratic residue mod {p}")
     _require(beta_r != p - 1, "beta = -1 is excluded")
     recipe = Recipe(method="horton", p=p, beta=beta if beta == BETA_TWO_INVERSE else beta_r)
-    return _certified(p, [(1, quadratic_residues(p))], recipe, all_four=False)
+    pairs, _ = _walk(p, find_primitive_root(p), 2, beta_r)
+    return _certified(p, pairs, recipe, all_four=False)
 
 
 def qr_starter(p: int, beta: int | str = BETA_TWO) -> Starter:
@@ -288,27 +287,27 @@ def qr_starter(p: int, beta: int | str = BETA_TWO) -> Starter:
     all four verifiers.  The 2inv variant equals the negation of the
     2 variant.
     """
+    _require_bounded(p)
     _require_qr_prime(p)
     beta = _doubling_beta(beta)
-    recipe = Recipe(method="qr", p=p, beta=beta)
-    return _certified(p, [(1, quadratic_residues(p))], recipe)
+    return _prime_power(p, 1, find_primitive_root(p), 2, Recipe(method="qr", p=p, beta=beta))
 
 
 def cyclotomic_starter(p: int, k: int, beta: int | str = BETA_TWO) -> Starter:
     """Strong Skolem starter over the low half of the cyclotomic classes.
 
-    For p = 2^k t + 1 (k >= 3, t odd > 1) whose class index of 2 is
-    2^(k-1): pairs {x, 2x} with x ranging over the union of classes
-    0 .. 2^(k-1) - 1.  Doubling then lands in the upper half, so the
-    pair members sweep all of Z_p^*, and the index of -1 is 2^(k-1)
-    automatically (t odd), which makes the differences sweep it too.
-    This is the n = 1 case of prime_power_cyclotomic_starter.
+    For p = 2^k t + 1 (k >= 3, t odd > 1) with 2 in the class
+    r^(2^(k-1)) <r^(2^k)>: pairs {x, 2x} with x over the classes
+    r^j <r^(2^k)>, j < 2^(k-1).  Doubling lands in the upper half, and
+    so does negation (t odd), so the pair members and the differences
+    both sweep Z_p^*.  The n = 1 case of prime_power_cyclotomic_starter.
     """
+    _require_bounded(p)
     _cyclotomic_prime(p, k)
     beta = _doubling_beta(beta)
     root = find_primitive_root(p)
     recipe = Recipe(method="cyclotomic", p=p, k=k, beta=beta, root=root)
-    return _certified(p, _strata(p, 1, root, 1 << k), recipe)
+    return _prime_power(p, 1, root, 1 << k, recipe)
 
 
 def prime_power_starter(p: int, n: int, beta: int | str = BETA_TWO) -> Starter:
@@ -320,13 +319,13 @@ def prime_power_starter(p: int, n: int, beta: int | str = BETA_TWO) -> Starter:
     each stratum is covered by its own pairs and differences.  n = 1
     degenerates to the plain quadratic-residue construction.
     """
+    _require_bounded(p, n)
     _require_qr_prime(p)
     _require(n >= 1, f"n must be >= 1, got {n}")
     beta = _doubling_beta(beta)
-    ctx = GroupContext.for_prime_power(p, n)
-    root = ctx.primitive_root
+    root = lift_primitive_root(find_primitive_root(p), p, n)
     recipe = Recipe(method="prime_power", p=p, n=n, beta=beta, root=root)
-    return _certified(ctx.modulus, _strata(p, n, root, 2), recipe)
+    return _prime_power(p, n, root, 2, recipe)
 
 
 def prime_power_cyclotomic_starter(
@@ -337,27 +336,25 @@ def prime_power_cyclotomic_starter(
     Stratum i uses x over the low-half class union of the unit group
     mod p^(n-i), taken with respect to the lifted primitive root.
     """
+    _require_bounded(p, n)
     _cyclotomic_prime(p, k)
     _require(n >= 1, f"n must be >= 1, got {n}")
     beta = _doubling_beta(beta)
     root = lift_primitive_root(find_primitive_root(p), p, n)
     recipe = Recipe(method="prime_power_cyclotomic", p=p, k=k, n=n, beta=beta, root=root)
-    return _certified(p**n, _strata(p, n, root, 1 << k), recipe)
+    return _prime_power(p, n, root, 1 << k, recipe)
 
 
 def pq_starter(p: int, q: int, beta: int | str = BETA_TWO) -> Starter:
     """Strong Skolem starter for Z_{pq}, p, q = 3 (mod 8), p < q.
 
-    Three families of doubling pairs: p * QR(q) covers the multiples
-    of p, q * QR(p) the multiples of q, and the unit part is swept by
-    the cyclic group generated by the square of a common primitive
-    root r together with one shifted copy lambda * <r^2>, lambda the
-    smallest unit outside <r^2> and 2<r^2>.  The four cosets <r^2>,
-    2<r^2>, lambda<r^2>, 2*lambda<r^2> must tile the units, which
-    additionally requires gcd(p-1, q-1) = 2; pairs that pass the
-    stated congruence hypotheses but have a larger gcd cannot be
-    covered by this recipe and raise CoverageFailure.
+    The walk of a common primitive root r with delta = 2 (see _pq)
+    keeps p * QR(q), q * QR(p), <r^2> and lambda <r^2>.  The units hold
+    gcd(p-1, q-1) cosets of <r> and the recipe is stated for two, so
+    pairs that pass the congruence hypotheses with a larger gcd raise
+    CoverageFailure.
     """
+    _require_bounded(p * q)
     _require_qr_prime(p)
     _require_qr_prime(q, "q")
     _require_pq_pair(p, q)
@@ -368,29 +365,23 @@ def pq_starter(p: int, q: int, beta: int | str = BETA_TWO) -> Starter:
             f"gcd(p-1, q-1) = {g}: the four cosets of <r^2> span only "
             f"{2 * (p - 1) * (q - 1) // g} of the {(p - 1) * (q - 1)} units mod {p * q}"
         )
-    families, root, lam = _pq_families(p, q, 2)  # <r^2> mod q is QR(q): r is primitive mod q
-    recipe = Recipe(method="pq", p=p, q=q, beta=beta, lam=lam, root=root)
-    return _certified(p * q, families, recipe)
+    return _pq(p, q, 2, Recipe(method="pq", p=p, q=q, beta=beta))
 
 
 def pq_cyclotomic_starter(p: int, q: int, k: int, beta: int | str = BETA_TWO) -> Starter:
     """Strong Skolem starter for Z_{pq}, p = 2^k t1 + 1, q = 2^k t2 + 1.
 
-    The multiples of p and of q are covered like in
-    cyclotomic_starter, working mod q and mod p respectively.  The
-    unit part is one copy of the low-half class union H of <r>, r a
-    common primitive root, per coset of <r>: 2 and -1 both sit in the
-    coset r^(2^(k-1)) <r^(2^k)>, so each copy splits into doubling
-    pairs (see _pq_families).  The smallest unit outside <r> is
-    recorded as lambda in the recipe.
+    The walk of a common primitive root r with delta = 2^k (see _pq):
+    the multiples of p and of q are covered like in cyclotomic_starter,
+    mod q and mod p, and the units by the low half of every coset of
+    <r>.  The smallest unit outside <r> is recorded as lambda.
     """
+    _require_bounded(p * q)
     _cyclotomic_prime(p, k, "p")
     _cyclotomic_prime(q, k, "q")
     _require_pq_pair(p, q)
     beta = _doubling_beta(beta)
-    families, root, lam = _pq_families(p, q, 1 << k)
-    recipe = Recipe(method="pq_cyclotomic", p=p, q=q, k=k, beta=beta, lam=lam, root=root)
-    return _certified(p * q, families, recipe)
+    return _pq(p, q, 1 << k, Recipe(method="pq_cyclotomic", p=p, q=q, k=k, beta=beta))
 
 
 def check_minus_one_coset(p: int, q: int, k: int, r: int) -> bool:

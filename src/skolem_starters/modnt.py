@@ -2,8 +2,8 @@
 
 Primality, multiplicative orders, primitive roots and their lift to
 prime powers, Euler-criterion residue classes, the root-free
-half-class test, cyclic cosets, Chinese remaindering, and a
-baby-step/giant-step discrete log.
+half-class test, Chinese remaindering, and a baby-step/giant-step
+discrete log.
 
 Residues are canonical representatives in 1..m-1 (0 is never a unit).
 Everything is computed on plain Python ints, so intermediate products
@@ -171,13 +171,6 @@ def euler_class(x: int, p: int) -> ResidueClass:
     return ResidueClass.NQR
 
 
-def quadratic_residues(p: int) -> frozenset[int]:
-    """The (p-1)/2 quadratic residues mod the odd prime p."""
-    if not is_prime(p) or p == 2:
-        raise InvalidModulus(f"{p} is not an odd prime")
-    return frozenset(pow(i, 2, p) for i in range(1, (p - 1) // 2 + 1))
-
-
 def discrete_log(x: int, r: int, m: int, order: int) -> int:
     """Exponent e in 0..order-1 with r^e = x (mod m).
 
@@ -219,24 +212,6 @@ def in_half_class(x: int, m: int, order: int, delta: int) -> bool:
     The units mod pq are not cyclic, so this does not apply there.
     """
     return pow(x, order // delta, m) == m - 1
-
-
-def cyclic_coset(g: int, shift: int, m: int) -> frozenset[int]:
-    """The set {shift * g^e mod m : e >= 0}, without duplicates."""
-    if m < 2:
-        raise InvalidModulus(f"modulus must be >= 2, got {m}")
-    g %= m
-    shift %= m
-    if math.gcd(g, m) != 1:
-        raise NotAUnit(f"{g} is not a unit mod {m}")
-    if math.gcd(shift, m) != 1:
-        raise NotAUnit(f"{shift} is not a unit mod {m}")
-    out = set()
-    v = shift
-    while v not in out:
-        out.add(v)
-        v = v * g % m
-    return frozenset(out)
 
 
 def _check_pq(p: int, q: int) -> None:

@@ -2,7 +2,8 @@
 
 The scanners find primes / prime pairs admissible for the doubling
 constructions (the cyclotomic scan walks p = 2^k t + 1, t odd, and
-tests 2 with modnt.in_half_class); the exhaustive searcher settles
+tests 2 with modnt.in_half_class), each refusing with BoundExceeded
+a scan of more than 10^6 candidates; the exhaustive searcher settles
 Skolem and strong Skolem existence for a single small modulus
 (n <= 1001) by complete backtracking, and enumerate_starters lists
 every starter outright as an independent cross-check of both the
@@ -36,7 +37,18 @@ class SearchTimeout(TimeoutError):
 
 
 class BoundExceeded(ValueError):
-    """Requested modulus is beyond the exhaustive search or enumeration guard."""
+    """Requested work is beyond a named bound on a search, enumeration,
+    construction or scan."""
+
+
+# Most candidates one scan examines: sieve entries, terms of the
+# cyclotomic progression, or the prime pairs scan_pq_pairs forms.
+_SCAN_BOUND = 10**6
+
+
+def _require_scan_bound(candidates: int, what: str) -> None:
+    if candidates > _SCAN_BOUND:
+        raise BoundExceeded(f"{what}: {candidates} candidates exceed the scan bound {_SCAN_BOUND}")
 
 
 @dataclass(frozen=True)
@@ -80,6 +92,7 @@ def scan_qr_primes(limit: int) -> ScanReport:
     Each hit is annotated with ord(2) mod p; for these primes 2 is a
     non-residue, which forces ord(2) = 2 (mod 4).
     """
+    _require_scan_bound(limit, f"qr-primes up to {limit}")
     hits = []
     for p in _primes_upto(limit):
         if p % 8 != 3 or p == 3:
@@ -96,9 +109,11 @@ def scan_cyclotomic_primes(k: int, limit: int) -> ScanReport:
         raise ValueError(f"k must be >= 3, got {k}")
     if k >= limit.bit_length():  # 2^k > limit, so no p = 2^k t + 1 fits
         return ScanReport(kind="cyclotomic-primes", bound=limit, hits=())
+    # At most limit / 2^(k+1) terms: 3 * 2^k + 1, step 2^(k+1), exactly the
+    # p = 2^k t + 1 with t odd >= 3.
+    _require_scan_bound(limit >> (k + 1), f"cyclotomic-primes up to {limit}")
     delta = 1 << k
     hits = []
-    # Start 3 * 2^k + 1, step 2^(k+1): exactly the p = 2^k t + 1 with t odd >= 3.
     for p in range(3 << k | 1, limit + 1, 2 << k):
         if is_prime(p) and in_half_class(2, p, p - 1, delta):
             hits.append(
@@ -146,6 +161,7 @@ def scan_pq_pairs(limit: int, mode: str = "qr", k: int | None = None) -> ScanRep
         kind = f"pq-pairs-cyclotomic-{k}"
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    _require_scan_bound(len(base) * (len(base) - 1) // 2, f"{kind} up to {limit}")
     hits = []
     for i, p in enumerate(base):
         for q in base[i + 1 :]:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skolem_starters import search
 from skolem_starters.cli import main
 from test_starters import Z19_PAIRS
 
@@ -73,6 +74,28 @@ def test_construct_huge_k_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--method", "prime-power", "--p", "11", "--n", str(10**8)],
+        ["--method", "prime-power-cyclotomic", "--p", "281", "--k", "3", "--n", str(10**8)],
+        ["--method", "qr", "--p", str(10**15 + 91)],
+    ],
+)
+def test_construct_beyond_bound_exits_2(capsys, argv):
+    # Refused before any arithmetic: p^n is never built, p - 1 never factored.
+    code, out, err = run(capsys, "construct", *argv, "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: modulus ")
+    assert err.endswith(" exceeds the construction bound 1000000\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("beta", ["two_inverse", "2^-1"])
+def test_construct_unlisted_beta_alias_exits_2(capsys, beta):
+    code, out, err = run(capsys, "construct", "--method", "qr", "--p", "19", "--beta", beta)
+    assert (code, out, err) == (2, "", f"error: unrecognized beta {beta!r}\n")
 
 
 def test_construct_missing_parameter_exits_2(capsys):
@@ -184,13 +207,33 @@ def test_scan_cyclotomic_requires_k(capsys):
     assert "--k" in err
 
 
-def test_scan_sieve_out_of_memory_exits_2(capsys):
-    # A sieve of 10^18 bytes is beyond the virtual address space of today's
-    # 64-bit machines (at most 2^57 bytes), so its allocation fails at once.
+def test_scan_sieve_out_of_memory_exits_2(capsys, monkeypatch):
+    # A sieve of 10^18 bytes is refused by the scan bound before it is allocated.
     code, out, err = run(capsys, "scan", "--kind", "qr-primes", "--limit", str(10**18), "--json")
     assert code == 2
     assert out == ""
-    assert err == "error: MemoryError\n"
+    assert err == f"error: qr-primes up to {10**18}: {10**18} candidates exceed the scan bound 1000000\n"
+    # A sieve that cannot be allocated still exits 2.
+    def no_memory(limit):
+        raise MemoryError
+
+    monkeypatch.setattr(search, "_primes_upto", no_memory)
+    code, out, err = run(capsys, "scan", "--kind", "qr-primes", "--limit", "100", "--json")
+    assert (code, out, err) == (2, "", "error: MemoryError\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--kind", "cyclotomic-primes", "--k", "3", "--limit", str(10**15)],
+        ["--kind", "pq-pairs", "--limit", str(10**8)],
+    ],
+)
+def test_scan_beyond_bound_exits_2(capsys, argv):
+    code, out, err = run(capsys, "scan", *argv, "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith(" exceed the scan bound 1000000\n")
+    assert err.count("\n") == 1
 
 
 def test_scan_pq_pairs(capsys):

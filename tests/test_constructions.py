@@ -1,6 +1,10 @@
+from collections import Counter
+
 import pytest
 
+from skolem_starters import constructions
 from skolem_starters.constructions import (
+    _CONSTRUCTION_BOUND,
     check_minus_one_coset,
     check_two_in_coset,
     CoverageFailure,
@@ -14,7 +18,13 @@ from skolem_starters.constructions import (
     qr_starter,
 )
 from skolem_starters.modnt import multiplicative_order
-from skolem_starters.search import find_common_primitive_root, scan_cyclotomic_primes, scan_qr_primes
+from skolem_starters.search import (
+    BoundExceeded,
+    enumerate_starters,
+    find_common_primitive_root,
+    scan_cyclotomic_primes,
+    scan_qr_primes,
+)
 from skolem_starters.starters import (
     classify,
     MalformedStarter,
@@ -24,6 +34,7 @@ from skolem_starters.starters import (
 )
 from oracles import naive_coset, naive_order, squares_set
 
+from test_json_golden import _grid_calls, DIGESTS
 from test_starters import Z19_PAIRS, Z11_PAIRS
 
 
@@ -225,6 +236,12 @@ def test_pq_lambda_is_smallest_valid():
     excluded = span | {2 * x % 209 for x in span}
     lam = next(c for c in range(2, 209) if c % 11 and c % 19 and c not in excluded)
     assert pq_starter(11, 19, 2).recipe.lam == lam == 3
+    # Mod 11 * 179 every unit below 13 lies in <r>: the walk's second leader
+    # is 11, a non-unit, and lambda is the next leader, the unit 13.
+    r = find_common_primitive_root(11, 179)
+    span = naive_coset(r, 1, 11 * 179)
+    lam = next(c for c in range(2, 11 * 179) if c % 11 and c % 179 and c not in span)
+    assert pq_starter(11, 179).recipe.lam == lam == 13
 
 
 def test_pq_two_inverse_is_negation():
@@ -369,3 +386,101 @@ def test_lifted_root_order_in_each_stratum_group():
     root = s.recipe.root
     for m in (11, 121, 1331):
         assert naive_order(root % m, m) == m // 11 * 10
+
+
+def test_construction_bound(monkeypatch):
+    # Z_173377 and Z_78961 = 281^2, the largest moduli built here, sit well inside.
+    assert 4 * max(281 * 617, 281**2) < _CONSTRUCTION_BOUND
+    # Refused before any arithmetic: no primality test, no root, no p^n.  The
+    # first two and the pq pair meet every hypothesis of their recipes.
+    monkeypatch.setattr(constructions, "is_prime", None)
+    for build, args in (
+        (qr_starter, (1000003,)),
+        (horton_starter, (1000003, 2)),
+        (qr_starter, (10**15 + 91,)),
+        (cyclotomic_starter, (10**15 + 1, 3)),
+        (prime_power_starter, (11, 10**8)),
+        (prime_power_cyclotomic_starter, (281, 3, 10**8)),
+        (pq_starter, (1019, 1051)),
+        (pq_cyclotomic_starter, (281, 3617, 3)),
+    ):
+        with pytest.raises(BoundExceeded, match="exceeds the construction bound"):
+            build(*args)
+
+
+# ---- doubling orbits ---------------------------------------------------------------
+
+
+def _doubling_orbits(n: int) -> list[list[int]]:
+    """The orbits of x -> 2x on 1 .. n-1, each walked from its least member."""
+    orbits, seen = [], set()
+    for c in range(1, n):
+        if c not in seen:
+            orbit = [c]
+            while 2 * orbit[-1] % n != c:
+                orbit.append(2 * orbit[-1] % n)
+            seen.update(orbit)
+            orbits.append(orbit)
+    return orbits
+
+
+def _one_parity_per_orbit(s: Starter) -> bool:
+    """Every pair is an edge {y, 2y} of a doubling orbit, and the tails y
+    in each orbit are exactly its even steps or exactly its odd steps."""
+    n = s.modulus
+    tails = set()
+    for lo, hi in s.pairs:
+        if hi == 2 * lo % n:
+            tails.add(lo)
+        elif lo == 2 * hi % n:
+            tails.add(hi)
+        else:
+            return False
+    return all(
+        tails.intersection(orbit) in (set(orbit[0::2]), set(orbit[1::2]))
+        for orbit in _doubling_orbits(n)
+    )
+
+
+_DOUBLING_RECIPES = {
+    "qr_starter",
+    "cyclotomic_starter",
+    "prime_power_starter",
+    "prime_power_cyclotomic_starter",
+    "pq_starter",
+    "pq_cyclotomic_starter",
+}
+
+
+def test_doubling_recipes_take_one_parity_per_orbit():
+    # Every starter the six doubling recipes build over the golden grid and
+    # the pinned parameter sets, Z_173377 included.
+    calls = {call for call in [*_grid_calls(), *DIGESTS] if call[0] in _DOUBLING_RECIPES}
+    built = Counter()
+    for recipe, args in sorted(calls, key=repr):
+        try:
+            s = getattr(constructions, recipe)(*args)
+        except (HypothesisViolation, CoverageFailure):
+            continue
+        assert _one_parity_per_orbit(s), (recipe, args)
+        built[recipe] += 1
+    assert set(built) == _DOUBLING_RECIPES
+    assert sum(built.values()) == 176
+
+
+def test_one_parity_check_rejects_other_starters():
+    assert not _one_parity_per_orbit(horton_starter(11, 7))
+    # Doubling edges along the one orbit 1, 2, 4, 8, 5, 10, ... of Z_11, not alternating.
+    assert not _one_parity_per_orbit(Starter.from_pairs(11, [(1, 2), (2, 4), (4, 8), (8, 5), (5, 10)]))
+    assert _one_parity_per_orbit(negate_starter(qr_starter(11)))
+
+
+@pytest.mark.parametrize("n", [n for n in range(3, 16, 2) if n % 3])
+def test_cardioidal_count_is_two_to_the_orbits(n):
+    # For 3 not dividing n, Z_n has 2^(number of doubling orbits) cardioidal
+    # starters when every orbit has length 2 (mod 4), and none otherwise.
+    orbits = _doubling_orbits(n)
+    cardioidal = [s for s in enumerate_starters(n) if classify(s).is_cardioidal]
+    expected = 2 ** len(orbits) if all(len(orbit) % 4 == 2 for orbit in orbits) else 0
+    assert len(cardioidal) == expected
+    assert all(_one_parity_per_orbit(s) for s in cardioidal)

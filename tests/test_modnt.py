@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skolem_starters.constructions import (
+    _walk,
     check_two_in_coset,
     HypothesisViolation,
     pq_cyclotomic_starter,
@@ -13,7 +14,6 @@ from skolem_starters.constructions import (
 from skolem_starters.modnt import (
     crt_inverse,
     crt_solve,
-    cyclic_coset,
     discrete_log,
     euler_class,
     euler_phi,
@@ -28,7 +28,6 @@ from skolem_starters.modnt import (
     NotAUnit,
     NotInSubgroup,
     NotPrimitiveRoot,
-    quadratic_residues,
     ResidueClass,
 )
 from oracles import naive_coset, naive_dlog, naive_order, squares_set, trial_division_prime
@@ -141,7 +140,7 @@ def test_euler_class_examples():
     assert euler_class(2, 19) is ResidueClass.NQR
     assert euler_class(10, 19) is ResidueClass.NQR
     assert squares_set(19) == {1, 4, 5, 6, 7, 9, 11, 16, 17}
-    assert quadratic_residues(19) == squares_set(19)
+    assert all(euler_class(x, 19) is ResidueClass.QR for x in squares_set(19))
 
 
 def test_euler_class_rejects_zero():
@@ -155,7 +154,7 @@ def test_qr_counts_for_all_primes_to_10000():
     for p in range(3, 10001, 2):
         if not trial_division_prime(p):
             continue
-        qr = quadratic_residues(p)
+        qr = squares_set(p)
         assert len(qr) == (p - 1) // 2
         assert all(euler_class(x, p) is ResidueClass.QR for x in list(qr)[:3])
 
@@ -232,7 +231,7 @@ def test_cyclotomic_classes_partition(p, k):
     root, delta = find_primitive_root(p), 1 << k
     seen: set[int] = set()
     for j in range(delta):
-        cls = cyclic_coset(pow(root, delta, p), pow(root, j, p), p)
+        cls = naive_coset(pow(root, delta, p), pow(root, j, p), p)
         assert len(cls) == (p - 1) // delta
         assert not (cls & seen)
         assert all(naive_dlog(x, root, p) % delta == j for x in list(cls)[:4])
@@ -276,35 +275,45 @@ def test_in_half_class_matches_discrete_log_index(n):
                 assert in_half_class(x, m, order, delta) == (e % delta == delta >> 1), (x, m, k)
 
 
-# ---- cyclic cosets ---------------------------------------------------------
+# ---- cyclic cosets: the orbits of the constructions' walk ------------------
 
 
 def test_cyclic_coset_examples():
-    assert cyclic_coset(4, 1, 11) == {1, 3, 4, 5, 9}
-    assert cyclic_coset(4, 1, 11) == quadratic_residues(11)
-    assert cyclic_coset(4, 2, 11) == {2, 6, 7, 8, 10}
-    with pytest.raises(NotAUnit):
-        cyclic_coset(11, 1, 121)
-    with pytest.raises(NotAUnit):
-        cyclic_coset(4, 11, 121)
+    # Mod 11, <4> = {1, 3, 4, 5, 9} = QR(11) and 2<4> are the two orbits of
+    # x -> 4x, walked 1, 4, 5, 9, 3 and 2, 8, 10, 7, 6; even steps are kept.
+    assert _walk(11, 4, 2, 2) == ([(1, 2), (5, 10), (3, 6), (2, 4), (10, 9), (6, 1)], [1, 2])
+    # A primitive root has one orbit per stratum p^i * (units mod p^(n-i)).
+    pairs, leaders = _walk(11, 2, 2, 2)
+    assert (leaders, {x for x, _ in pairs}) == ([1], squares_set(11))
+    pairs, leaders = _walk(121, 2, 2, 61)
+    assert leaders == [1, 11]
+    assert {x for x, _ in pairs} == (squares_set(121) - {0}) | {11 * y for y in squares_set(11)}
+    assert all(y == 61 * x % 121 for x, y in pairs)
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     m=st.sampled_from([11, 19, 121, 209, 1331]),
     g=st.integers(min_value=1, max_value=10**4),
-    shift=st.integers(min_value=1, max_value=10**4),
+    mult=st.integers(min_value=1, max_value=10**4),
 )
-def test_cyclic_coset_size_and_membership(m, g, shift):
+def test_cyclic_coset_size_and_membership(m, g, mult):
     g %= m
-    shift %= m
     if g == 0 or math.gcd(g, m) != 1:
         g = 2 if math.gcd(2, m) == 1 else 3
-    if shift == 0 or math.gcd(shift, m) != 1:
-        shift = 1
-    coset = cyclic_coset(g, shift, m)
-    assert coset == naive_coset(g, shift, m)
-    assert len(coset) == naive_order(g, m)
+    pairs, leaders = _walk(m, g, 2, mult)
+    # The leaders are the least members of the cosets c <g>, which tile 1 .. m-1.
+    cosets = [naive_coset(g, c, m) for c in leaders]
+    assert all(c == min(coset) for c, coset in zip(leaders, cosets))
+    assert sum(map(len, cosets)) == m - 1
+    assert set().union(*cosets) == set(range(1, m))
+    # Every other step of each orbit is paired with its multiple by mult.
+    kept = [x for x, _ in pairs]
+    assert all(y == x * mult % m for x, y in pairs)
+    assert len(set(kept)) == len(kept) == sum((len(coset) + 1) // 2 for coset in cosets)
+    for c, coset in zip(leaders, cosets):
+        if len(coset) % 2 == 0:
+            assert coset.intersection(kept) == naive_coset(g * g, c, m)
 
 
 # ---- CRT -------------------------------------------------------------------
@@ -353,15 +362,15 @@ def test_crt_solve_matches_scan(m1, m2, a, b):
 
 
 # ---- unit partitions -------------------------------------------------------
-# The splittings the prime-power and two-prime recipes cover family by
-# family, built from the lifted root and from Chinese remaindering.
+# The splittings the prime-power and two-prime recipes cover orbit by
+# orbit, built from the lifted root and from Chinese remaindering.
 
 
 def _strata(p: int, n: int) -> list[frozenset[int]]:
     """p^i * (units mod p^(n-i)) for i = 0 .. n-1, from one lifted root."""
     root = GroupContext.for_prime_power(p, n).primitive_root
     return [
-        frozenset(p**i * u for u in cyclic_coset(root, 1, p ** (n - i))) for i in range(n)
+        frozenset(p**i * u for u in naive_coset(root, 1, p ** (n - i))) for i in range(n)
     ]
 
 

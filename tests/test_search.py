@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from skolem_starters import search
 from skolem_starters.constructions import qr_starter
 from skolem_starters.modnt import multiplicative_order
 from skolem_starters.search import (
@@ -171,6 +172,25 @@ def test_search_bound():
             exhaustive_skolem_search(n)
     with pytest.raises(SearchTimeout):
         exhaustive_skolem_search(1001, timeout=0.25)
+
+
+def test_scan_bound(monkeypatch):
+    # The benchmark's largest scans sit well inside the bound.
+    qr_hits = len(scan_qr_primes(5000).hits)
+    assert max(qr_hits * (qr_hits - 1) // 2, 200000 >> 4) * 10 < search._SCAN_BOUND
+    # Refused before the sieve is allocated or the progression walked.
+    for scan, args in (
+        (scan_qr_primes, (search._SCAN_BOUND + 1,)),
+        (scan_cyclotomic_primes, (3, 10**15)),
+        (scan_pq_pairs, (10**8,)),
+        (scan_pq_pairs, (10**15, "cyclotomic", 3)),
+    ):
+        with pytest.raises(BoundExceeded, match="exceed the scan bound"):
+            scan(*args)
+    # The prime pairs count too: 5000 sieve entries pass, their pairs do not.
+    monkeypatch.setattr(search, "_SCAN_BOUND", 5000)
+    with pytest.raises(BoundExceeded, match=f"pq-pairs up to 5000: {qr_hits * (qr_hits - 1) // 2} "):
+        scan_pq_pairs(5000)
 
 
 def test_search_find_all_at_11():
