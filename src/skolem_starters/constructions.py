@@ -99,15 +99,17 @@ def _require(condition: bool, message: str) -> None:
 
 
 def normalize_beta(beta: int | str) -> int | str:
-    """Canonicalize a multiplier argument to 2, "2inv", or a residue."""
-    if beta in (2, "2"):
-        return BETA_TWO
+    """Canonicalize a multiplier argument to 2, "2inv", or a residue.
+
+    An int, a string of ASCII digits or "2inv"; every bool and float is
+    refused, so 2.0 fails as 3.0 does.
+    """
     if beta == BETA_TWO_INVERSE:
         return BETA_TWO_INVERSE
-    if isinstance(beta, int):
-        return beta
-    if isinstance(beta, str) and beta.isdigit():
+    if isinstance(beta, str) and beta.isascii() and beta.isdigit():
         return int(beta)
+    if isinstance(beta, int) and not isinstance(beta, bool):
+        return beta
     raise ValueError(f"unrecognized beta {beta!r}")
 
 

@@ -5,7 +5,8 @@ constructions (the cyclotomic scan walks p = 2^k t + 1, t odd, and
 tests 2 with modnt.in_half_class), each refusing with BoundExceeded
 a scan of more than 10^6 candidates; the exhaustive searcher settles
 Skolem and strong Skolem existence for a single small modulus
-(n <= 1001) by complete backtracking, and enumerate_starters lists
+(n <= 1001) by complete backtracking over bitmasks of the free
+positions and used pair sums, and enumerate_starters lists
 every starter outright as an independent cross-check of both the
 verifiers and the searcher.
 """
@@ -86,48 +87,54 @@ def _primes_upto(limit: int) -> list[int]:
     return [i for i in range(2, limit + 1) if not composite[i]]
 
 
+def _qr_primes(limit: int) -> list[int]:
+    """The p of scan_qr_primes(limit), without certificates."""
+    _require_scan_bound(limit, f"qr-primes up to {limit}")
+    return [p for p in _primes_upto(limit) if p % 8 == 3 and p != 3]
+
+
 def scan_qr_primes(limit: int) -> ScanReport:
     """Primes p <= limit with p = 3 (mod 8), p != 3.
 
     Each hit is annotated with ord(2) mod p; for these primes 2 is a
     non-residue, which forces ord(2) = 2 (mod 4).
     """
-    _require_scan_bound(limit, f"qr-primes up to {limit}")
-    hits = []
-    for p in _primes_upto(limit):
-        if p % 8 != 3 or p == 3:
-            continue
-        ord2 = multiplicative_order(2, p)
-        hits.append(ScanHit(params={"p": p}, certificates={"p_mod_8": 3, "ord2": ord2}))
-    return ScanReport(kind="qr-primes", bound=limit, hits=tuple(hits))
+    hits = tuple(
+        ScanHit(params={"p": p}, certificates={"p_mod_8": 3, "ord2": multiplicative_order(2, p)})
+        for p in _qr_primes(limit)
+    )
+    return ScanReport(kind="qr-primes", bound=limit, hits=hits)
+
+
+def _cyclotomic_primes(k: int, limit: int) -> list[int]:
+    """The p of scan_cyclotomic_primes(k, limit), without certificates."""
+    if k < 3:
+        raise ValueError(f"k must be >= 3, got {k}")
+    if k >= limit.bit_length():  # 2^k > limit, so no p = 2^k t + 1 fits
+        return []
+    # At most limit / 2^(k+1) terms: 3 * 2^k + 1, step 2^(k+1), exactly the
+    # p = 2^k t + 1 with t odd >= 3.
+    _require_scan_bound(limit >> (k + 1), f"cyclotomic-primes up to {limit}")
+    delta = 1 << k
+    return [p for p in range(3 << k | 1, limit + 1, 2 << k) if is_prime(p) and in_half_class(2, p, p - 1, delta)]
 
 
 def scan_cyclotomic_primes(k: int, limit: int) -> ScanReport:
     """Primes p = 2^k * t + 1 <= limit (t odd > 1) with 2 in the class
     r^(2^(k-1)) <r^(2^k)>, that is, class index of 2 exactly 2^(k-1)."""
-    if k < 3:
-        raise ValueError(f"k must be >= 3, got {k}")
-    if k >= limit.bit_length():  # 2^k > limit, so no p = 2^k t + 1 fits
-        return ScanReport(kind="cyclotomic-primes", bound=limit, hits=())
-    # At most limit / 2^(k+1) terms: 3 * 2^k + 1, step 2^(k+1), exactly the
-    # p = 2^k t + 1 with t odd >= 3.
-    _require_scan_bound(limit >> (k + 1), f"cyclotomic-primes up to {limit}")
-    delta = 1 << k
-    hits = []
-    for p in range(3 << k | 1, limit + 1, 2 << k):
-        if is_prime(p) and in_half_class(2, p, p - 1, delta):
-            hits.append(
-                ScanHit(
-                    params={"p": p, "k": k},
-                    certificates={
-                        "t": (p - 1) >> k,
-                        "root": find_primitive_root(p),
-                        "index2": delta >> 1,
-                        "ord2": multiplicative_order(2, p),
-                    },
-                )
-            )
-    return ScanReport(kind="cyclotomic-primes", bound=limit, hits=tuple(hits))
+    hits = tuple(
+        ScanHit(
+            params={"p": p, "k": k},
+            certificates={
+                "t": (p - 1) >> k,
+                "root": find_primitive_root(p),
+                "index2": 1 << (k - 1),
+                "ord2": multiplicative_order(2, p),
+            },
+        )
+        for p in _cyclotomic_primes(k, limit)
+    )
+    return ScanReport(kind="cyclotomic-primes", bound=limit, hits=hits)
 
 
 def find_common_primitive_root(p: int, q: int) -> int:
@@ -146,18 +153,20 @@ def scan_pq_pairs(limit: int, mode: str = "qr", k: int | None = None) -> ScanRep
     """Prime pairs p < q <= limit admissible for the two-prime recipes.
 
     qr mode: both = 3 (mod 8) and != 3.  cyclotomic mode: both primes
-    accepted by scan_cyclotomic_primes(k, limit).  Both modes require
+    accepted by scan_cyclotomic_primes(k, limit).  The primes are taken
+    without their scan certificates, so the pair count is bounded before
+    any root or order is computed.  Both modes require
     (p-1) to not divide (q-1); hits carry the smallest common
     primitive root (or None when the bounded search fails) and
     gcd(p-1, q-1), which the plain two-prime recipe needs to be 2.
     """
     if mode == "qr":
-        base = [h.params["p"] for h in scan_qr_primes(limit).hits]
+        base = _qr_primes(limit)
         kind = "pq-pairs"
     elif mode == "cyclotomic":
         if k is None:
             raise ValueError("cyclotomic mode needs k")
-        base = [h.params["p"] for h in scan_cyclotomic_primes(k, limit).hits]
+        base = _cyclotomic_primes(k, limit)
         kind = f"pq-pairs-cyclotomic-{k}"
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -201,11 +210,13 @@ def exhaustive_skolem_search(
 ) -> list[Starter]:
     """Complete backtracking search for Skolem starters of Z_n.
 
-    Differences are assigned largest-first (most constrained), the pair
-    for difference i tried in ascending lower endpoint, so the result
-    order is deterministic.  Pruning: endpoint reuse, plus sum
-    collision / zero sum when require_strong.  An empty result means
-    proven nonexistence; running out of wall clock raises
+    Differences are placed largest-first, the pair (a, a + i) for
+    difference i in ascending a, so the result order is deterministic.
+    The state is two ints passed down: bits 1..n-1 of `free` are the
+    unused positions, so the open a are the bits of free & (free >> i);
+    bit t of `sums` marks a used pair sum, refused (as is t = 0) when
+    require_strong.  The clock is read every 4096 placements.  An empty
+    result means proven nonexistence; running out of wall clock raises
     SearchTimeout instead, so the two can never be confused.  A modulus
     above 1001 raises BoundExceeded.
     """
@@ -218,40 +229,33 @@ def exhaustive_skolem_search(
         raise ValueError(f"timeout must be a non-negative number of seconds, got {timeout}")
     k = (n - 1) // 2
     deadline = None if timeout is None else time.monotonic() + timeout
-    used = bytearray(n)
-    sums_seen: set[int] = set()
-    chosen: list[tuple[int, int]] = []
+    # chosen[i - 1] is the pair of difference i: nothing to undo on backtrack.
+    chosen = [(0, 0)] * k
     solutions: list[Starter] = []
     nodes = 0
 
-    def place(i: int) -> bool:
+    def place(i: int, free: int, sums: int) -> bool:
         nonlocal nodes
         if i == 0:
             solutions.append(Starter.from_pairs(n, chosen))
             return not find_all
-        for a in range(1, n - i):
-            b = a + i
+        cand = free & (free >> i)
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            a = low.bit_length() - 1
+            t = (2 * a + i) % n
+            if require_strong and (t == 0 or sums >> t & 1):
+                continue
             nodes += 1
             if nodes % 4096 == 0 and deadline is not None and time.monotonic() > deadline:
                 raise SearchTimeout(f"search at modulus {n} exceeded {timeout} s")
-            if used[a] or used[b]:
-                continue
-            if require_strong:
-                t = (a + b) % n
-                if t == 0 or t in sums_seen:
-                    continue
-                sums_seen.add(t)
-            used[a] = used[b] = 1
-            chosen.append((a, b))
-            if place(i - 1):
+            chosen[i - 1] = (a, a + i)
+            if place(i - 1, free ^ (low | low << i), sums | 1 << t):
                 return True
-            chosen.pop()
-            used[a] = used[b] = 0
-            if require_strong:
-                sums_seen.discard((a + b) % n)
         return False
 
-    place(k)
+    place(k, (1 << n) - 2, 0)
     return solutions
 
 

@@ -164,3 +164,45 @@ def classify(s: Starter) -> Classification:
         dependent=not ok_starter,
         witnesses=witnesses,
     )
+
+
+# --- the original exhaustive search -------------------------------------------
+#
+# The bytearray-and-set backtracking that the bitmask search in
+# skolem_starters.search replaced, with its timeout taken out: the
+# same tree (largest difference first, ascending lower endpoint), so
+# the two must return the same starters in the same order.
+
+
+def backtrack_skolem_search(n: int, *, require_strong: bool = False, find_all: bool = False) -> list[Starter]:
+    k = (n - 1) // 2
+    used = bytearray(n)
+    sums_seen: set[int] = set()
+    chosen: list[tuple[int, int]] = []
+    solutions: list[Starter] = []
+
+    def place(i: int) -> bool:
+        if i == 0:
+            solutions.append(Starter.from_pairs(n, chosen))
+            return not find_all
+        for a in range(1, n - i):
+            b = a + i
+            if used[a] or used[b]:
+                continue
+            if require_strong:
+                t = (a + b) % n
+                if t == 0 or t in sums_seen:
+                    continue
+                sums_seen.add(t)
+            used[a] = used[b] = 1
+            chosen.append((a, b))
+            if place(i - 1):
+                return True
+            chosen.pop()
+            used[a] = used[b] = 0
+            if require_strong:
+                sums_seen.discard((a + b) % n)
+        return False
+
+    place(k)
+    return solutions

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skolem_starters import search
-from skolem_starters.cli import main
+from skolem_starters.cli import _METHODS, main
 from test_starters import Z19_PAIRS
 
 
@@ -416,14 +416,18 @@ _verify_inputs = st.one_of(
 )
 
 
-def _outcome(argv):
+def _check_clean_exit(argv):
+    """Exit 0, 1 or 2, no traceback, and nothing on stdout with 2."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse refusing an option value exits 2
             code = exc.code
-    return code, out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
 
 
 @settings(max_examples=250, derandomize=True, deadline=None)
@@ -435,8 +439,32 @@ def test_verify_fuzzed_input_exits_0_1_or_2(tmp_path_factory, case, as_json):
         argv = ["verify", "--in", str(path)]
     else:
         argv = ["verify", f"--modulus={case[1]}", f"--pairs={case[2]}"]
-    code, out, err = _outcome(argv + ["--json"] * as_json)
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err
-    if code == 2:
-        assert out == ""
+    _check_clean_exit(argv + ["--json"] * as_json)
+
+
+# ---- fuzzed construct and scan numbers: refused up front or built small -------
+
+# Zero, negative, or far past every bound, so a refusal comes before any
+# loop or allocation that grows with the number; the small values let a
+# valid argument sit beside a broken one.
+_numbers = st.integers(max_value=0) | st.integers(min_value=10**7, max_value=10**60)
+_small = st.sampled_from([3, 11, 19])
+
+
+@st.composite
+def _number_argvs(draw):
+    if draw(st.booleans()):
+        method = draw(st.sampled_from(sorted(_METHODS)))
+        names = [name for name in _METHODS[method] if name != "beta"]
+        return ["construct", f"--method={method}"] + [f"--{name}={draw(_numbers | _small)}" for name in names]
+    kind = draw(st.sampled_from(["qr-primes", "cyclotomic-primes", "pq-pairs"]))
+    argv = ["scan", f"--kind={kind}", f"--limit={draw(_numbers)}"]
+    if kind == "cyclotomic-primes" or draw(st.booleans()):
+        argv.append(f"--k={draw(_numbers)}")
+    return argv
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(argv=_number_argvs(), as_json=st.booleans())
+def test_construct_and_scan_fuzzed_numbers_exit_0_1_or_2(argv, as_json):
+    _check_clean_exit(argv + ["--json"] * as_json)

@@ -21,6 +21,7 @@ from skolem_starters.modnt import multiplicative_order
 from skolem_starters.search import (
     BoundExceeded,
     enumerate_starters,
+    exhaustive_skolem_search,
     find_common_primitive_root,
     scan_cyclotomic_primes,
     scan_qr_primes,
@@ -51,6 +52,17 @@ def test_horton_11_2_matches_hand_computation():
     # independent: QR(11) from the full square table
     assert squares_set(11) == {1, 3, 4, 5, 9}
     assert s.classification.is_starter and s.classification.is_strong
+
+
+@pytest.mark.parametrize("beta", [2.0, 3.0, 7.0, True, False, "²", "٣"])
+def test_beta_refuses_floats_bools_and_other_digits(beta):
+    # One domain: an int, a string of ASCII digits or "2inv". 2.0 == 2 and
+    # True == 1 compare equal to residues, but neither is one; "²" and "٣"
+    # pass str.isdigit.
+    for recipe in (qr_starter, horton_starter):
+        with pytest.raises(ValueError, match="unrecognized beta"):
+            recipe(11, beta)
+    assert constructions.normalize_beta("7") == constructions.normalize_beta(7) == 7
 
 
 def test_horton_rejects_beta_minus_one():
@@ -475,12 +487,23 @@ def test_one_parity_check_rejects_other_starters():
     assert _one_parity_per_orbit(negate_starter(qr_starter(11)))
 
 
-@pytest.mark.parametrize("n", [n for n in range(3, 16, 2) if n % 3])
-def test_cardioidal_count_is_two_to_the_orbits(n):
+def _check_cardioidal_count(n, starters):
     # For 3 not dividing n, Z_n has 2^(number of doubling orbits) cardioidal
     # starters when every orbit has length 2 (mod 4), and none otherwise.
     orbits = _doubling_orbits(n)
-    cardioidal = [s for s in enumerate_starters(n) if classify(s).is_cardioidal]
+    cardioidal = [s for s in starters if classify(s).is_cardioidal]
     expected = 2 ** len(orbits) if all(len(orbit) % 4 == 2 for orbit in orbits) else 0
     assert len(cardioidal) == expected
     assert all(_one_parity_per_orbit(s) for s in cardioidal)
+
+
+@pytest.mark.parametrize("n", [n for n in range(3, 16, 2) if n % 3])
+def test_cardioidal_count_is_two_to_the_orbits(n):
+    _check_cardioidal_count(n, enumerate_starters(n))
+
+
+@pytest.mark.parametrize("n", [n for n in range(3, 22, 2) if n % 3])
+def test_cardioidal_count_in_the_search_is_two_to_the_orbits(n):
+    # {x, 2x mod n} has integer difference min(x, n - x), so every cardioidal
+    # starter is Skolem and the search must meet all of them.
+    _check_cardioidal_count(n, exhaustive_skolem_search(n, find_all=True))

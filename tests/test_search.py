@@ -16,7 +16,7 @@ from skolem_starters.search import (
     SearchTimeout,
 )
 from skolem_starters.starters import classify, negate_starter, Starter, verify_skolem, verify_strong
-from oracles import naive_dlog, naive_order, trial_division_prime
+from oracles import backtrack_skolem_search, naive_dlog, naive_order, trial_division_prime
 
 
 # ---- scan_qr_primes ----------------------------------------------------------
@@ -193,6 +193,21 @@ def test_scan_bound(monkeypatch):
         scan_pq_pairs(5000)
 
 
+def test_pq_pairs_refused_before_any_certificate(monkeypatch):
+    # The base primes are taken without ord_p(2) or a primitive root, so
+    # the pair bound refuses a scan before any certificate is computed.
+    def no_certificates(*args):
+        raise AssertionError("certificate computed before the pair bound")
+
+    monkeypatch.setattr(search, "multiplicative_order", no_certificates)
+    monkeypatch.setattr(search, "find_primitive_root", no_certificates)
+    monkeypatch.setattr(search, "_SCAN_BOUND", 5000)
+    with pytest.raises(BoundExceeded, match="pq-pairs up to 5000: 13861 candidates exceed the scan bound"):
+        scan_pq_pairs(5000)
+    with pytest.raises(BoundExceeded, match="pq-pairs-cyclotomic-3 up to 80000: 27028 candidates exceed"):
+        scan_pq_pairs(80000, "cyclotomic", 3)
+
+
 def test_search_find_all_at_11():
     all_skolem = exhaustive_skolem_search(11, find_all=True)
     strong_skolem = exhaustive_skolem_search(11, require_strong=True, find_all=True)
@@ -200,6 +215,19 @@ def test_search_find_all_at_11():
     assert qr_starter(11, 2) in all_skolem
     assert qr_starter(11, 2) in strong_skolem
     assert all(verify_skolem(s)[0] for s in all_skolem)
+
+
+def test_search_matches_the_backtracking_oracle():
+    # Same tree, same order: the bitmask search returns exactly the list
+    # the bytearray-and-set backtracking it replaced returns.
+    for strong in (False, True):
+        for n in range(3, 20, 2):
+            expected = backtrack_skolem_search(n, require_strong=strong, find_all=True)
+            assert exhaustive_skolem_search(n, require_strong=strong, find_all=True) == expected, (n, strong)
+    for n in (11, 17, 19, 25, 27, 33):
+        assert exhaustive_skolem_search(n, require_strong=True) == backtrack_skolem_search(n, require_strong=True)
+    for n in (n for n in range(3, 28, 2) if n % 8 in (1, 3)):
+        assert exhaustive_skolem_search(n) == backtrack_skolem_search(n)
 
 
 # ---- enumerate_starters ------------------------------------------------------------
