@@ -3,8 +3,7 @@
 The package splits into five layers:
 
   modnt          exact modular arithmetic (primality, primitive roots,
-                 residue classes, the root-free half-class test,
-                 discrete logs, CRT)
+                 the root-free half-class test, discrete logs, CRT)
   starters       the Pair/Starter types and the four verifiers
   constructions  explicit doubling-pair recipes for Z_p, Z_{p^n}, Z_{pq},
                  each one certified walk over the orbits of a multiplier
@@ -31,7 +30,6 @@ from .search import (
     enumerate_starters,
     exhaustive_skolem_search,
     find_common_primitive_root,
-    NoCommonRoot,
     scan_cyclotomic_primes,
     scan_pq_pairs,
     scan_qr_primes,
@@ -72,7 +70,6 @@ __all__ = [
     "HypothesisViolation",
     "MalformedStarter",
     "negate_starter",
-    "NoCommonRoot",
     "Pair",
     "pq_cyclotomic_starter",
     "pq_starter",

@@ -16,7 +16,7 @@ from typing import Any
 
 from . import constructions, search
 from .constructions import CoverageFailure
-from .search import NoCommonRoot, SearchTimeout
+from .search import SearchTimeout
 from .starters import (
     classify,
     Starter,
@@ -307,7 +307,7 @@ def main(argv: list[str] | None = None) -> int:
     except SearchTimeout as exc:
         print(f"timeout: {exc}", file=sys.stderr)
         return EXIT_TIMEOUT
-    except (CoverageFailure, NoCommonRoot, ValueError, OSError, MemoryError) as exc:
+    except (CoverageFailure, ValueError, OSError, MemoryError) as exc:
         # The library's other refusals are all ValueErrors.  A MemoryError (a
         # scan sieve too large to allocate) usually has an empty message.
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

@@ -19,15 +19,14 @@ and delta, walks once and certifies the pairs (_certified):
 
 Doubling and negation both map the kept half of an orbit onto the
 other half when 2 and -1 lie in the half-shift class
-r^(delta/2) <r^delta>: mod a prime power the power-residue test
-modnt.in_half_class, mod pq (units not cyclic) _in_half_shift, which
-combines two discrete logs.
+r^(delta/2) <r^delta>.  The hypotheses at p settle this mod p^n, and
+-1 always lies there mod pq; only 2 mod pq is checked before the walk.
 
-A modulus above _CONSTRUCTION_BOUND raises BoundExceeded before any
-arithmetic.  Hypothesis checks come next and raise
-HypothesisViolation; every successful construction is then
-self-verified with all four verifiers before it is returned, so an
-invalid object can never escape -- verification failure raises
+A modulus, or a coset certificate's prime, above _CONSTRUCTION_BOUND
+raises BoundExceeded before any arithmetic.  Hypothesis checks come
+next and raise HypothesisViolation; every successful construction is
+then self-verified with all four verifiers before it is returned, so
+an invalid object can never escape -- verification failure raises
 CoverageFailure with the witnesses.
 """
 
@@ -40,13 +39,11 @@ from typing import Any
 from .modnt import (
     crt_solve,
     discrete_log,
-    euler_class,
     find_primitive_root,
     in_half_class,
     is_prime,
     is_primitive_root,
     lift_primitive_root,
-    ResidueClass,
 )
 from .search import BoundExceeded, find_common_primitive_root
 from .starters import classify, Starter
@@ -113,12 +110,12 @@ def normalize_beta(beta: int | str) -> int | str:
     raise ValueError(f"unrecognized beta {beta!r}")
 
 
-def _require_bounded(p: int, n: int = 1) -> None:
+def _require_bounded(p: int, n: int = 1, name: str = "modulus") -> None:
     """p^n is at most _CONSTRUCTION_BOUND; a huge n is refused before p^n
     is built."""
     if n > _CONSTRUCTION_BOUND.bit_length() or n > 0 and p**n > _CONSTRUCTION_BOUND:
         shown = p if n == 1 else f"{p}^{n}"
-        raise BoundExceeded(f"modulus {shown} exceeds the construction bound {_CONSTRUCTION_BOUND}")
+        raise BoundExceeded(f"{name} {shown} exceeds the construction bound {_CONSTRUCTION_BOUND}")
 
 
 def _doubling_beta(beta: int | str) -> int | str:
@@ -210,15 +207,9 @@ def _prime_power(p: int, n: int, root: int, delta: int, recipe: Recipe) -> Start
     Its orbits are the strata p^i * (units mod p^(n-i)), i < n.  A
     stratum is covered by its own pairs and differences when 2 and -1
     lie in the class root^(delta/2) <root^delta> of its unit group.
-    That follows from the hypotheses at p, but it is re-checked for
-    every stratum, by in_half_class, rather than assumed
-    (CoverageFailure).
+    delta divides p - 1, so that class is fixed mod p, where the
+    recipe's hypotheses have already placed 2 and -1.
     """
-    for i in range(n):
-        m = p ** (n - i)
-        for target, name in ((2, "2"), (m - 1, "-1")):
-            if not in_half_class(target, m, m // p * (p - 1), delta):
-                raise CoverageFailure(f"{name} is not in the class r^{delta >> 1} <r^{delta}> mod {m}")
     pairs, _ = _walk(p**n, root, delta, _beta_multiplier(recipe.beta, p**n))
     return _certified(p**n, pairs, recipe)
 
@@ -229,16 +220,15 @@ def _pq(p: int, q: int, delta: int, recipe: Recipe) -> Starter:
 
     The orbits of r are p * (units mod q), q * (units mod p) and the
     cosets of <r> in the units.  They are covered when 2 and -1 lie in
-    the coset r^(delta/2) <r^delta> (CoverageFailure if not).  lambda
-    is the first unit leader after 1, the smallest unit outside <r>.
+    the coset r^(delta/2) <r^delta>.  -1 always does: with delta = 2^k,
+    (p-1)/2 = 2^(k-1) t1 and (q-1)/2 = 2^(k-1) t2 (t1, t2 odd) agree
+    mod gcd(p-1, q-1).  2 may not (CoverageFailure).  lambda is the
+    first unit leader after 1, the smallest unit outside <r>.
     """
     modulus = p * q
     root = find_common_primitive_root(p, q)
-    for target, name in ((2, "2"), (modulus - 1, "-1")):
-        if not _in_half_shift(target, root, p, q, delta):
-            raise CoverageFailure(
-                f"{name} is not in the coset r^{delta >> 1} <r^{delta}> mod {modulus}"
-            )
+    if not _in_half_shift(2, root, p, q, delta):
+        raise CoverageFailure(f"2 is not in the coset r^{delta >> 1} <r^{delta}> mod {modulus}")
     pairs, leaders = _walk(modulus, root, delta, _beta_multiplier(recipe.beta, modulus))
     lam = next(c for c in leaders[1:] if c % p and c % q)
     return _certified(modulus, pairs, replace(recipe, lam=lam, root=root))
@@ -274,7 +264,7 @@ def horton_starter(p: int, beta: int | str) -> Starter:
     beta = normalize_beta(beta)
     beta_r = _beta_multiplier(beta, p)
     _require(beta_r % p != 0, "beta must be a unit")
-    _require(euler_class(beta_r, p) is ResidueClass.NQR, f"beta = {beta_r} is a quadratic residue mod {p}")
+    _require(in_half_class(beta_r, p, p - 1, 2), f"beta = {beta_r} is a quadratic residue mod {p}")
     _require(beta_r != p - 1, "beta = -1 is excluded")
     recipe = Recipe(method="horton", p=p, beta=beta if beta == BETA_TWO_INVERSE else beta_r)
     pairs, _ = _walk(p, find_primitive_root(p), 2, beta_r)
@@ -395,12 +385,13 @@ def check_minus_one_coset(p: int, q: int, k: int, r: int) -> bool:
     also checks that -1 lies in the coset r^(2^(k-1)) <r^(2^k)> of
     the units mod pq.
     """
+    _require_bounded(max(p, q), name="prime")
     _cyclotomic_shape(p, k, "p")
     _cyclotomic_shape(q, k, "q")
     delta = 1 << k
     _require((p - 1) // delta < (q - 1) // delta, "need t1 < t2")
     for m in (p, q):
-        _require(euler_class(r, m) is ResidueClass.NQR, f"r = {r} is a quadratic residue mod {m}")
+        _require(in_half_class(r, m, m - 1, 2), f"r = {r} is not a quadratic non-residue mod {m}")
     modulus = p * q
     exponent = (p - 1) * (q - 1) // (1 << (k + 1))
     result = pow(r, exponent, modulus) == modulus - 1
@@ -418,6 +409,7 @@ def check_two_in_coset(p: int, q: int, k: int, r: int) -> bool:
     lies in that coset mod pq -- is then confirmed by combining the
     componentwise discrete logs of 2 through the exponent congruences.
     """
+    _require_bounded(max(p, q), name="prime")
     _require(k >= 3, f"k must be >= 3, got {k}")
     for name, value in (("p", p), ("q", q)):
         _require(is_prime(value), f"{name} = {value} is not prime")

@@ -1,9 +1,9 @@
 """Exact modular arithmetic on odd moduli.
 
 Primality, multiplicative orders, primitive roots and their lift to
-prime powers, Euler-criterion residue classes, the root-free
-half-class test, Chinese remaindering, and a baby-step/giant-step
-discrete log.
+prime powers, the root-free half-class test (with delta = 2 it is
+Euler's criterion for a non-residue), Chinese remaindering, and a
+baby-step/giant-step discrete log.
 
 Residues are canonical representatives in 1..m-1 (0 is never a unit).
 Everything is computed on plain Python ints, so intermediate products
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 
 class NotAUnit(ValueError):
@@ -154,23 +153,6 @@ def lift_primitive_root(r: int, p: int, n: int) -> int:
     return r + p
 
 
-class ResidueClass(Enum):
-    QR = "QR"
-    NQR = "NQR"
-
-
-def euler_class(x: int, p: int) -> ResidueClass:
-    """Quadratic residue class of x mod p by Euler's criterion."""
-    if not is_prime(p) or p == 2:
-        raise InvalidModulus(f"{p} is not an odd prime")
-    x %= p
-    if x == 0:
-        raise NotAUnit(f"0 is not a unit mod {p}")
-    if pow(x, (p - 1) // 2, p) == 1:
-        return ResidueClass.QR
-    return ResidueClass.NQR
-
-
 def discrete_log(x: int, r: int, m: int, order: int) -> int:
     """Exponent e in 0..order-1 with r^e = x (mod m).
 
@@ -209,7 +191,9 @@ def in_half_class(x: int, m: int, order: int, delta: int) -> bool:
     its only element of order 2, and x = r^e has x^(order/delta) = -1
     exactly when e = delta/2 (mod delta), for every generator r: a
     power-residue test, with no primitive root and no discrete log.
-    The units mod pq are not cyclic, so this does not apply there.
+    For a prime m and delta = 2 it is Euler's criterion: x is a
+    quadratic non-residue.  A non-unit x is in no class.  The units
+    mod pq are not cyclic, so this does not apply there.
     """
     return pow(x, order // delta, m) == m - 1
 

@@ -29,10 +29,6 @@ from .modnt import (
 from .starters import Starter, verify_starter
 
 
-class NoCommonRoot(RuntimeError):
-    """No shared primitive root found within the search bound."""
-
-
 class SearchTimeout(TimeoutError):
     """Wall-clock budget exhausted before the search space was."""
 
@@ -138,15 +134,14 @@ def scan_cyclotomic_primes(k: int, limit: int) -> ScanReport:
 
 
 def find_common_primitive_root(p: int, q: int) -> int:
-    """Smallest r >= 2 primitive mod both p and q; bounded by p*q tries."""
+    """Smallest r >= 2 primitive mod both p and q; by the CRT one lies below p*q."""
     if p == q or not is_prime(p) or not is_prime(q) or p == 2 or q == 2:
         raise InvalidModulus(f"({p}, {q}) must be distinct odd primes")
-    for r in range(2, p * q + 1):
-        if r % p == 0 or r % q == 0:
-            continue
-        if is_primitive_root(r, p) and is_primitive_root(r, q):
-            return r
-    raise NoCommonRoot(f"no common primitive root of {p} and {q} below {p * q}")
+    return next(
+        r
+        for r in range(2, p * q)
+        if r % p and r % q and is_primitive_root(r, p) and is_primitive_root(r, q)
+    )
 
 
 def scan_pq_pairs(limit: int, mode: str = "qr", k: int | None = None) -> ScanReport:
@@ -157,8 +152,8 @@ def scan_pq_pairs(limit: int, mode: str = "qr", k: int | None = None) -> ScanRep
     without their scan certificates, so the pair count is bounded before
     any root or order is computed.  Both modes require
     (p-1) to not divide (q-1); hits carry the smallest common
-    primitive root (or None when the bounded search fails) and
-    gcd(p-1, q-1), which the plain two-prime recipe needs to be 2.
+    primitive root and gcd(p-1, q-1), which the plain two-prime
+    recipe needs to be 2.
     """
     if mode == "qr":
         base = _qr_primes(limit)
@@ -176,10 +171,6 @@ def scan_pq_pairs(limit: int, mode: str = "qr", k: int | None = None) -> ScanRep
         for q in base[i + 1 :]:
             if (q - 1) % (p - 1) == 0:
                 continue
-            try:
-                root: int | None = find_common_primitive_root(p, q)
-            except NoCommonRoot:
-                root = None
             params = {"p": p, "q": q}
             if mode == "cyclotomic":
                 params["k"] = k
@@ -187,7 +178,7 @@ def scan_pq_pairs(limit: int, mode: str = "qr", k: int | None = None) -> ScanRep
                 ScanHit(
                     params=params,
                     certificates={
-                        "common_root": root,
+                        "common_root": find_common_primitive_root(p, q),
                         "gcd_p1_q1": math.gcd(p - 1, q - 1),
                     },
                 )

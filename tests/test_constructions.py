@@ -1,3 +1,4 @@
+import functools
 from collections import Counter
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from skolem_starters import constructions
 from skolem_starters.constructions import (
     _CONSTRUCTION_BOUND,
+    _in_half_shift,
     check_minus_one_coset,
     check_two_in_coset,
     CoverageFailure,
@@ -17,7 +19,7 @@ from skolem_starters.constructions import (
     prime_power_starter,
     qr_starter,
 )
-from skolem_starters.modnt import multiplicative_order
+from skolem_starters.modnt import find_primitive_root, in_half_class, multiplicative_order
 from skolem_starters.search import (
     BoundExceeded,
     enumerate_starters,
@@ -33,7 +35,7 @@ from skolem_starters.starters import (
     Starter,
     starter_to_json,
 )
-from oracles import naive_coset, naive_order, squares_set
+from oracles import naive_coset, naive_dlog, naive_order, squares_set
 
 from test_json_golden import _grid_calls, DIGESTS
 from test_starters import Z19_PAIRS, Z11_PAIRS
@@ -351,6 +353,22 @@ def test_two_in_coset_accepts_even_t():
     assert check_two_in_coset(113, 577, 3, 5) is True
 
 
+def test_pq_cyclotomic_refuses_two_outside_the_coset_before_the_walk():
+    # 1481 = 2^3 * 185 + 1 meets every hypothesis, and 2 is in the half-shift
+    # class mod 281 and mod 1481, but not in the coset mod 281 * 1481; -1 is.
+    with pytest.raises(CoverageFailure, match=r"^2 is not in the coset r\^4 <r\^8> mod 416161$"):
+        pq_cyclotomic_starter(281, 1481, 3)
+    assert check_two_in_coset(281, 1481, 3, 3) is False
+    assert _in_half_shift(281 * 1481 - 1, 3, 281, 1481, 8)
+
+
+def test_minus_one_coset_refuses_a_base_divisible_by_p_or_q():
+    for r in (0, 281, 617, 281 * 617):
+        with pytest.raises(HypothesisViolation, match="is not a quadratic non-residue") as info:
+            check_minus_one_coset(281, 617, 3, r)
+        assert "is a quadratic residue" not in str(info.value)
+
+
 def test_two_in_coset_rejects_non_root():
     with pytest.raises(HypothesisViolation):
         check_two_in_coset(281, 617, 3, 2)
@@ -420,6 +438,18 @@ def test_construction_bound(monkeypatch):
             build(*args)
 
 
+def test_coset_certificate_bound(monkeypatch):
+    # Each prime is bounded, not pq: scans certify pairs with pq near 4 * 10^8.
+    # Refused before any primality test, factorization or discrete log.
+    for name in ("is_prime", "is_primitive_root", "discrete_log", "in_half_class"):
+        monkeypatch.setattr(constructions, name, None)
+    big = _CONSTRUCTION_BOUND + 1
+    for check in (check_minus_one_coset, check_two_in_coset):
+        for p, q in ((281, 8000000000393), (8000000000009, 8000000000393), (big, big + 2)):
+            with pytest.raises(BoundExceeded, match="exceeds the construction bound"):
+                check(p, q, 3, 3)
+
+
 # ---- doubling orbits ---------------------------------------------------------------
 
 
@@ -464,20 +494,62 @@ _DOUBLING_RECIPES = {
 }
 
 
-def test_doubling_recipes_take_one_parity_per_orbit():
-    # Every starter the six doubling recipes build over the golden grid and
-    # the pinned parameter sets, Z_173377 included.
+@functools.cache
+def _doubling_starters() -> tuple[tuple[str, tuple, Starter], ...]:
+    """(recipe, arguments, starter) for every starter the six doubling
+    recipes build over the golden grid and the pinned parameter sets,
+    Z_173377 included."""
     calls = {call for call in [*_grid_calls(), *DIGESTS] if call[0] in _DOUBLING_RECIPES}
-    built = Counter()
+    built = []
     for recipe, args in sorted(calls, key=repr):
         try:
-            s = getattr(constructions, recipe)(*args)
+            built.append((recipe, args, getattr(constructions, recipe)(*args)))
         except (HypothesisViolation, CoverageFailure):
-            continue
+            pass
+    return tuple(built)
+
+
+def test_doubling_recipes_take_one_parity_per_orbit():
+    built = Counter()
+    for recipe, args, s in _doubling_starters():
         assert _one_parity_per_orbit(s), (recipe, args)
         built[recipe] += 1
     assert set(built) == _DOUBLING_RECIPES
     assert sum(built.values()) == 176
+
+
+def test_two_and_minus_one_lie_in_the_half_shift_class_at_every_stratum():
+    # The Z_p and Z_{p^n} recipes check 2 and -1 at p only: delta divides
+    # p - 1, so their class mod every p^j is fixed mod p.  Checked here by
+    # the power-residue test and by the discrete-log oracle.
+    checked = Counter()
+    for recipe, args, s in _doubling_starters():
+        r = s.recipe
+        if r.q is not None:
+            continue
+        delta = 1 << (r.k or 1)
+        root = r.root or find_primitive_root(r.p)
+        for j in range(1, (r.n or 1) + 1):
+            m = r.p**j
+            for x in (2, m - 1):
+                assert in_half_class(x, m, m // r.p * (r.p - 1), delta), (recipe, args, m, x)
+                assert naive_dlog(x, root, m) % delta == delta >> 1, (recipe, args, m, x)
+        checked[recipe] += 1
+    assert set(checked) == _DOUBLING_RECIPES - {"pq_starter", "pq_cyclotomic_starter"}
+
+
+def test_minus_one_and_two_lie_in_the_half_shift_coset_of_every_pq_starter():
+    # _pq checks 2 only: -1 always lies in the coset.
+    checked = Counter()
+    for recipe, args, s in _doubling_starters():
+        r = s.recipe
+        if r.q is None:
+            continue
+        delta = 1 << (r.k or 1)
+        for x in (2, r.p * r.q - 1):
+            assert _in_half_shift(x, r.root, r.p, r.q, delta), (recipe, args, x)
+        checked[recipe] += 1
+    assert set(checked) == {"pq_starter", "pq_cyclotomic_starter"}
 
 
 def test_one_parity_check_rejects_other_starters():

@@ -15,7 +15,6 @@ from skolem_starters.modnt import (
     crt_inverse,
     crt_solve,
     discrete_log,
-    euler_class,
     euler_phi,
     factorize,
     find_primitive_root,
@@ -28,7 +27,6 @@ from skolem_starters.modnt import (
     NotAUnit,
     NotInSubgroup,
     NotPrimitiveRoot,
-    ResidueClass,
 )
 from oracles import naive_coset, naive_dlog, naive_order, squares_set, trial_division_prime
 
@@ -132,22 +130,16 @@ def test_lift_primitive_root_order_is_group_order(p, n):
     assert naive_order(g % m, m) == p ** (n - 1) * (p - 1)
 
 
-# ---- euler_class / quadratic residues --------------------------------------
+# ---- quadratic residues: in_half_class with delta = 2 (Euler's criterion) ---
 
 
 def test_euler_class_examples():
-    assert euler_class(1, 19) is ResidueClass.QR
-    assert euler_class(2, 19) is ResidueClass.NQR
-    assert euler_class(10, 19) is ResidueClass.NQR
+    assert not in_half_class(1, 19, 18, 2)
+    assert in_half_class(2, 19, 18, 2)
+    assert in_half_class(10, 19, 18, 2)
     assert squares_set(19) == {1, 4, 5, 6, 7, 9, 11, 16, 17}
-    assert all(euler_class(x, 19) is ResidueClass.QR for x in squares_set(19))
-
-
-def test_euler_class_rejects_zero():
-    with pytest.raises(NotAUnit):
-        euler_class(0, 19)
-    with pytest.raises(NotAUnit):
-        euler_class(38, 19)
+    assert not any(in_half_class(x, 19, 18, 2) for x in squares_set(19))
+    assert all(in_half_class(x, 19, 18, 2) for x in set(range(1, 19)) - squares_set(19))
 
 
 def test_qr_counts_for_all_primes_to_10000():
@@ -156,7 +148,7 @@ def test_qr_counts_for_all_primes_to_10000():
             continue
         qr = squares_set(p)
         assert len(qr) == (p - 1) // 2
-        assert all(euler_class(x, p) is ResidueClass.QR for x in list(qr)[:3])
+        assert not any(in_half_class(x, p, p - 1, 2) for x in list(qr)[:3])
 
 
 @settings(max_examples=150, deadline=None)
@@ -167,8 +159,8 @@ def test_qr_counts_for_all_primes_to_10000():
 )
 def test_qr_multiplicativity(p, x, y):
     x, y = x % p or 1, y % p or 1
-    both_qr = (euler_class(x, p) is ResidueClass.QR) == (euler_class(y, p) is ResidueClass.QR)
-    assert (euler_class(x * y % p, p) is ResidueClass.QR) == both_qr
+    same_class = in_half_class(x, p, p - 1, 2) == in_half_class(y, p, p - 1, 2)
+    assert (not in_half_class(x * y % p, p, p - 1, 2)) == same_class
 
 
 # ---- discrete_log ----------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -76,6 +77,19 @@ def test_common_root_order_is_lcm():
     for p, q in ((11, 19), (11, 43), (19, 59)):
         r = find_common_primitive_root(p, q)
         assert multiplicative_order(r, p * q) == math.lcm(p - 1, q - 1)
+
+
+def test_common_primitive_root_is_the_smallest_and_below_pq():
+    # By the CRT a common root exists below pq, so the search never runs out.
+    primes = [p for p in range(3, 60) if trial_division_prime(p)]
+    for i, p in enumerate(primes):
+        for q in primes[i + 1 :]:
+            smallest = next(
+                r
+                for r in itertools.count(2)
+                if r % p and r % q and naive_order(r, p) == p - 1 and naive_order(r, q) == q - 1
+            )
+            assert find_common_primitive_root(p, q) == smallest < p * q, (p, q)
 
 
 def test_find_common_primitive_root_validates():
