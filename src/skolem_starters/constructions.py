@@ -37,7 +37,6 @@ from dataclasses import dataclass, replace
 from typing import Any
 
 from .modnt import (
-    crt_solve,
     discrete_log,
     find_primitive_root,
     in_half_class,
@@ -110,12 +109,19 @@ def normalize_beta(beta: int | str) -> int | str:
     raise ValueError(f"unrecognized beta {beta!r}")
 
 
-def _require_bounded(p: int, n: int = 1, name: str = "modulus") -> None:
-    """p^n is at most _CONSTRUCTION_BOUND; a huge n is refused before p^n
-    is built."""
-    if n > _CONSTRUCTION_BOUND.bit_length() or n > 0 and p**n > _CONSTRUCTION_BOUND:
-        shown = p if n == 1 else f"{p}^{n}"
-        raise BoundExceeded(f"{name} {shown} exceeds the construction bound {_CONSTRUCTION_BOUND}")
+def _require_bounded(p: int, q: int = 1, n: int = 1, *, each_prime: bool = False, **others: int) -> None:
+    """First check of every recipe and certificate, before any arithmetic:
+    p, q, n and the others are ints, not bools, as normalize_beta asks of
+    beta (HypothesisViolation); the modulus (pq)^n, or with each_prime
+    both primes, is at most _CONSTRUCTION_BOUND (BoundExceeded), a huge n
+    refused before the power is built."""
+    for key, value in {"p": p, "q": q, "n": n, **others}.items():
+        _require(isinstance(value, int) and not isinstance(value, bool), f"{key} must be an int, got {value!r}")
+    for m in (p, q) if each_prime else (p * q,):
+        if n > _CONSTRUCTION_BOUND.bit_length() or n > 0 and m**n > _CONSTRUCTION_BOUND:
+            shown = m if n == 1 else f"{m}^{n}"
+            name = "prime" if each_prime else "modulus"
+            raise BoundExceeded(f"{name} {shown} exceeds the construction bound {_CONSTRUCTION_BOUND}")
 
 
 def _doubling_beta(beta: int | str) -> int | str:
@@ -188,17 +194,19 @@ def _walk(modulus: int, root: int, delta: int, mult: int) -> tuple[list[tuple[in
 
 def _in_half_shift(x: int, root: int, p: int, q: int, delta: int) -> bool:
     """The unit x lies in the coset root^(delta/2) <root^delta> mod pq,
-    root a common primitive root of p and q.
+    root a common primitive root of p and q: _half_shift of the
+    exponents of x mod p and mod q, two discrete logs."""
+    return _half_shift(discrete_log(x, root, p, p - 1), discrete_log(x, root, q, q - 1), p, q, delta)
 
-    The exponent of x comes from the two componentwise discrete logs,
-    recombined on the exponents; the moduli p-1 and q-1 share a
-    factor, so the recombination can be unsolvable, which is exactly
-    the x outside the subgroup generated by root.
+
+def _half_shift(ep: int, eq: int, p: int, q: int, delta: int) -> bool:
+    """The unit root^ep mod p, root^eq mod q lies in the coset
+    root^(delta/2) <root^delta> mod pq, delta dividing p-1 and q-1.
+
+    It is root^e for an e = ep (mod p-1), eq (mod q-1), which exists
+    exactly when ep = eq (mod gcd(p-1, q-1)); then e = ep (mod delta).
     """
-    ep = discrete_log(x, root, p, p - 1)
-    eq = discrete_log(x, root, q, q - 1)
-    solved = crt_solve(ep, p - 1, eq, q - 1)
-    return solved is not None and solved[0] % delta == delta >> 1
+    return (ep - eq) % math.gcd(p - 1, q - 1) == 0 and ep % delta == delta >> 1
 
 
 def _prime_power(p: int, n: int, root: int, delta: int, recipe: Recipe) -> Starter:
@@ -220,10 +228,12 @@ def _pq(p: int, q: int, delta: int, recipe: Recipe) -> Starter:
 
     The orbits of r are p * (units mod q), q * (units mod p) and the
     cosets of <r> in the units.  They are covered when 2 and -1 lie in
-    the coset r^(delta/2) <r^delta>.  -1 always does: with delta = 2^k,
-    (p-1)/2 = 2^(k-1) t1 and (q-1)/2 = 2^(k-1) t2 (t1, t2 odd) agree
-    mod gcd(p-1, q-1).  2 may not (CoverageFailure).  lambda is the
-    first unit leader after 1, the smallest unit outside <r>.
+    the coset r^(delta/2) <r^delta>.  -1 always does: its exponents
+    (p-1)/2 = 2^(k-1) t1 and (q-1)/2 = 2^(k-1) t2 (delta = 2^k, t1 and
+    t2 odd) agree mod gcd(p-1, q-1) and are delta/2 mod delta.  2 may
+    not, which the congruence of its two discrete logs decides
+    (_in_half_shift, CoverageFailure).  lambda is the first unit leader
+    after 1, the smallest unit outside <r>.
     """
     modulus = p * q
     root = find_common_primitive_root(p, q)
@@ -294,7 +304,7 @@ def cyclotomic_starter(p: int, k: int, beta: int | str = BETA_TWO) -> Starter:
     so does negation (t odd), so the pair members and the differences
     both sweep Z_p^*.  The n = 1 case of prime_power_cyclotomic_starter.
     """
-    _require_bounded(p)
+    _require_bounded(p, k=k)
     _cyclotomic_prime(p, k)
     beta = _doubling_beta(beta)
     root = find_primitive_root(p)
@@ -311,7 +321,7 @@ def prime_power_starter(p: int, n: int, beta: int | str = BETA_TWO) -> Starter:
     each stratum is covered by its own pairs and differences.  n = 1
     degenerates to the plain quadratic-residue construction.
     """
-    _require_bounded(p, n)
+    _require_bounded(p, n=n)
     _require_qr_prime(p)
     _require(n >= 1, f"n must be >= 1, got {n}")
     beta = _doubling_beta(beta)
@@ -328,7 +338,7 @@ def prime_power_cyclotomic_starter(
     Stratum i uses x over the low-half class union of the unit group
     mod p^(n-i), taken with respect to the lifted primitive root.
     """
-    _require_bounded(p, n)
+    _require_bounded(p, n=n, k=k)
     _cyclotomic_prime(p, k)
     _require(n >= 1, f"n must be >= 1, got {n}")
     beta = _doubling_beta(beta)
@@ -346,7 +356,7 @@ def pq_starter(p: int, q: int, beta: int | str = BETA_TWO) -> Starter:
     pairs that pass the congruence hypotheses with a larger gcd raise
     CoverageFailure.
     """
-    _require_bounded(p * q)
+    _require_bounded(p, q)
     _require_qr_prime(p)
     _require_qr_prime(q, "q")
     _require_pq_pair(p, q)
@@ -368,7 +378,7 @@ def pq_cyclotomic_starter(p: int, q: int, k: int, beta: int | str = BETA_TWO) ->
     mod q and mod p, and the units by the low half of every coset of
     <r>.  The smallest unit outside <r> is recorded as lambda.
     """
-    _require_bounded(p * q)
+    _require_bounded(p, q, k=k)
     _cyclotomic_prime(p, k, "p")
     _cyclotomic_prime(q, k, "q")
     _require_pq_pair(p, q)
@@ -383,9 +393,10 @@ def check_minus_one_coset(p: int, q: int, k: int, r: int) -> bool:
     non-residue mod both primes: checks r^((p-1)(q-1)/2^(k+1)) = -1
     (mod pq) exactly; when r is additionally a common primitive root,
     also checks that -1 lies in the coset r^(2^(k-1)) <r^(2^k)> of
-    the units mod pq.
+    the units mod pq, from its exponents (p-1)/2 and (q-1)/2 with no
+    discrete log.
     """
-    _require_bounded(max(p, q), name="prime")
+    _require_bounded(p, q, k=k, r=r, each_prime=True)
     _cyclotomic_shape(p, k, "p")
     _cyclotomic_shape(q, k, "q")
     delta = 1 << k
@@ -396,20 +407,22 @@ def check_minus_one_coset(p: int, q: int, k: int, r: int) -> bool:
     exponent = (p - 1) * (q - 1) // (1 << (k + 1))
     result = pow(r, exponent, modulus) == modulus - 1
     if is_primitive_root(r, p) and is_primitive_root(r, q):
-        result = result and _in_half_shift(modulus - 1, r, p, q, delta)
+        result = result and _half_shift((p - 1) // 2, (q - 1) // 2, p, q, delta)
     return result
 
 
 def check_two_in_coset(p: int, q: int, k: int, r: int) -> bool:
     """Certify that 2 lifts into the half-shift coset mod pq.
 
-    Preconditions: 2^k divides p - 1 and q - 1 (t even is allowed), r
-    is a common primitive root, and 2 lies in the class
-    r^(2^(k-1)) <r^(2^k)> both mod p and mod q.  The conclusion -- 2
-    lies in that coset mod pq -- is then confirmed by combining the
-    componentwise discrete logs of 2 through the exponent congruences.
+    Preconditions: p and q are distinct primes, in either order, 2^k
+    divides p - 1 and q - 1 (t even is allowed), r is a common
+    primitive root, and 2 lies in the class r^(2^(k-1)) <r^(2^k)> both
+    mod p and mod q.  The conclusion -- 2 lies in that coset mod pq --
+    is then decided by the congruence of its two discrete logs
+    (_in_half_shift).
     """
-    _require_bounded(max(p, q), name="prime")
+    _require_bounded(p, q, k=k, r=r, each_prime=True)
+    _require(p != q, f"p and q must be distinct, got {p} twice")
     _require(k >= 3, f"k must be >= 3, got {k}")
     for name, value in (("p", p), ("q", q)):
         _require(is_prime(value), f"{name} = {value} is not prime")

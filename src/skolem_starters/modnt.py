@@ -2,8 +2,8 @@
 
 Primality, multiplicative orders, primitive roots and their lift to
 prime powers, the root-free half-class test (with delta = 2 it is
-Euler's criterion for a non-residue), Chinese remaindering, and a
-baby-step/giant-step discrete log.
+Euler's criterion for a non-residue), the Chinese-remainder map of a
+pair of residues, and a baby-step/giant-step discrete log.
 
 Residues are canonical representatives in 1..m-1 (0 is never a unit).
 Everything is computed on plain Python ints, so intermediate products
@@ -210,21 +210,6 @@ def crt_inverse(a: int, b: int, p: int, q: int) -> int:
     _check_pq(p, q)
     n = p * q
     return (a * q * pow(q, -1, p) + b * p * pow(p, -1, q)) % n
-
-
-def crt_solve(a: int, m1: int, b: int, m2: int) -> tuple[int, int] | None:
-    """Solve x = a (mod m1), x = b (mod m2) for arbitrary moduli.
-
-    Returns (x, lcm(m1, m2)) or None when the congruences conflict.
-    Unlike crt_inverse this tolerates non-coprime moduli; it is used
-    to combine discrete-log exponents whose moduli share a factor.
-    """
-    g = math.gcd(m1, m2)
-    if (b - a) % g != 0:
-        return None
-    l = m1 // g * m2
-    step = (b - a) // g * pow(m1 // g, -1, m2 // g) % (m2 // g)
-    return (a + m1 * step) % l, l
 
 
 @dataclass(frozen=True)

@@ -134,28 +134,28 @@ def scan_cyclotomic_primes(k: int, limit: int) -> ScanReport:
 
 
 def find_common_primitive_root(p: int, q: int) -> int:
-    """Smallest r >= 2 primitive mod both p and q; by the CRT one lies below p*q."""
-    if p == q or not is_prime(p) or not is_prime(q) or p == 2 or q == 2:
+    """Smallest r >= 2 primitive mod both p and q; by the CRT one lies below p*q.
+
+    is_primitive_root refuses a p or q that is not an odd prime."""
+    if p == q:
         raise InvalidModulus(f"({p}, {q}) must be distinct odd primes")
-    return next(
-        r
-        for r in range(2, p * q)
-        if r % p and r % q and is_primitive_root(r, p) and is_primitive_root(r, q)
-    )
+    return next(r for r in range(2, p * q) if is_primitive_root(r, p) and is_primitive_root(r, q))
 
 
 def scan_pq_pairs(limit: int, mode: str = "qr", k: int | None = None) -> ScanReport:
     """Prime pairs p < q <= limit admissible for the two-prime recipes.
 
-    qr mode: both = 3 (mod 8) and != 3.  cyclotomic mode: both primes
-    accepted by scan_cyclotomic_primes(k, limit).  The primes are taken
-    without their scan certificates, so the pair count is bounded before
-    any root or order is computed.  Both modes require
+    qr mode, which takes no k: both = 3 (mod 8) and != 3.  cyclotomic
+    mode: both primes accepted by scan_cyclotomic_primes(k, limit).  The
+    primes are taken without their scan certificates, so the pair count
+    is bounded before any root or order is computed.  Both modes require
     (p-1) to not divide (q-1); hits carry the smallest common
     primitive root and gcd(p-1, q-1), which the plain two-prime
     recipe needs to be 2.
     """
     if mode == "qr":
+        if k is not None:
+            raise ValueError("qr mode takes no k")
         base = _qr_primes(limit)
         kind = "pq-pairs"
     elif mode == "cyclotomic":

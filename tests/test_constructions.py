@@ -1,4 +1,5 @@
 import functools
+import math
 from collections import Counter
 
 import pytest
@@ -35,7 +36,7 @@ from skolem_starters.starters import (
     Starter,
     starter_to_json,
 )
-from oracles import naive_coset, naive_dlog, naive_order, squares_set
+from oracles import naive_coset, naive_dlog, naive_order, squares_set, trial_division_prime
 
 from test_json_golden import _grid_calls, DIGESTS
 from test_starters import Z19_PAIRS, Z11_PAIRS
@@ -343,8 +344,53 @@ def test_minus_one_coset_accepts_non_root_nqr():
     assert pow(r, 10780, 281 * 617) == 281 * 617 - 1
 
 
+def test_minus_one_coset_takes_no_discrete_log(monkeypatch):
+    # 3 is a common primitive root of 281 and 617, so the coset branch runs:
+    # the exponents of -1 are (p-1)/2 and (q-1)/2, known without a log.
+    def refuse(*args):
+        raise AssertionError("discrete_log called")
+
+    monkeypatch.setattr(constructions, "discrete_log", refuse)
+    assert check_minus_one_coset(281, 617, 3, 3) is True
+
+
 def test_two_in_coset_certificate():
     assert check_two_in_coset(281, 617, 3, 3)
+
+
+def test_two_in_coset_refuses_equal_primes(monkeypatch):
+    # 281^2 is no two-prime modulus: refused before any primality test or log.
+    for name in ("is_prime", "is_primitive_root", "discrete_log", "in_half_class"):
+        monkeypatch.setattr(constructions, name, None)
+    with pytest.raises(HypothesisViolation, match="must be distinct"):
+        check_two_in_coset(281, 281, 3, 3)
+    monkeypatch.undo()
+    # The coset mod pq does not depend on the order of the primes.
+    assert check_two_in_coset(617, 281, 3, 3) is True
+    assert check_two_in_coset(1481, 281, 3, 3) is False
+
+
+def test_in_half_shift_matches_the_walk_of_the_common_root():
+    # For every pair of odd primes p < q below 60 and every unit x mod pq:
+    # x lies in r^(delta/2) <r^delta> exactly when the walk r^e,
+    # e < lcm(p-1, q-1), visits x at an e = delta/2 (mod delta).
+    primes = [p for p in range(3, 60) if trial_division_prime(p)]
+    checked = Counter()
+    for i, p in enumerate(primes):
+        for q in primes[i + 1 :]:
+            m, g, r = p * q, math.gcd(p - 1, q - 1), find_common_primitive_root(p, q)
+            exponent, x = {}, 1
+            for e in range(math.lcm(p - 1, q - 1)):
+                exponent[x] = e
+                x = x * r % m
+            for delta in (d for d in (2, 4, 8) if g % d == 0):
+                for x in range(1, m):
+                    if x % p and x % q:
+                        visited = x in exponent and exponent[x] % delta == delta >> 1
+                        assert _in_half_shift(x, r, p, q, delta) == visited, (p, q, delta, x)
+                checked[delta] += 1
+    assert checked[2] == len(primes) * (len(primes) - 1) // 2
+    assert checked[4] and checked[8]
 
 
 def test_two_in_coset_accepts_even_t():
@@ -436,6 +482,33 @@ def test_construction_bound(monkeypatch):
     ):
         with pytest.raises(BoundExceeded, match="exceeds the construction bound"):
             build(*args)
+
+
+# Each recipe and certificate with arguments that meet its hypotheses,
+# horton's beta fixed: every positional argument is an integer parameter.
+_INTEGER_CALLS = (
+    (functools.partial(horton_starter, beta=7), (11,)),
+    (qr_starter, (11,)),
+    (cyclotomic_starter, (281, 3)),
+    (prime_power_starter, (11, 2)),
+    (prime_power_cyclotomic_starter, (281, 3, 2)),
+    (pq_starter, (11, 19)),
+    (pq_cyclotomic_starter, (281, 617, 3)),
+    (check_minus_one_coset, (281, 617, 3, 3)),
+    (check_two_in_coset, (281, 617, 3, 3)),
+)
+
+
+def test_every_recipe_refuses_a_bool_or_float_integer_parameter(monkeypatch):
+    # The rule normalize_beta applies to beta: True == 1 and 2.0 == 2, yet
+    # both are refused, before any primality test, root or log.
+    for name in ("is_prime", "is_primitive_root", "find_primitive_root", "discrete_log", "in_half_class"):
+        monkeypatch.setattr(constructions, name, None)
+    for build, args in _INTEGER_CALLS:
+        for i in range(len(args)):
+            for bad in (True, 2.0):
+                with pytest.raises(HypothesisViolation, match="must be an int"):
+                    build(*args[:i], bad, *args[i + 1 :])
 
 
 def test_coset_certificate_bound(monkeypatch):

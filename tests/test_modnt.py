@@ -13,7 +13,6 @@ from skolem_starters.constructions import (
 )
 from skolem_starters.modnt import (
     crt_inverse,
-    crt_solve,
     discrete_log,
     euler_phi,
     factorize,
@@ -331,26 +330,6 @@ def test_crt_unit_bijection():
     images = {crt_inverse(a, b, 11, 19) for a in range(1, 11) for b in range(1, 19)}
     assert len(images) == 180
     assert images == {x for x in range(1, 209) if x % 11 and x % 19}
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    m1=st.integers(min_value=2, max_value=60),
-    m2=st.integers(min_value=2, max_value=60),
-    a=st.integers(min_value=0, max_value=59),
-    b=st.integers(min_value=0, max_value=59),
-)
-def test_crt_solve_matches_scan(m1, m2, a, b):
-    a %= m1
-    b %= m2
-    expected = next(
-        (x for x in range(math.lcm(m1, m2)) if x % m1 == a and x % m2 == b), None
-    )
-    got = crt_solve(a, m1, b, m2)
-    if expected is None:
-        assert got is None
-    else:
-        assert got == (expected, math.lcm(m1, m2))
 
 
 # ---- unit partitions -------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from skolem_starters import search
 from skolem_starters.constructions import qr_starter
-from skolem_starters.modnt import multiplicative_order
+from skolem_starters.modnt import InvalidModulus, multiplicative_order
 from skolem_starters.search import (
     BoundExceeded,
     enumerate_starters,
@@ -93,8 +93,10 @@ def test_common_primitive_root_is_the_smallest_and_below_pq():
 
 
 def test_find_common_primitive_root_validates():
-    with pytest.raises(Exception):
-        find_common_primitive_root(11, 11)
+    # Past p = q, is_primitive_root refuses whichever non-odd-prime it meets.
+    for p, q in ((11, 11), (9, 11), (11, 9), (2, 11), (11, 2), (1, 11), (11, 15)):
+        with pytest.raises(InvalidModulus):
+            find_common_primitive_root(p, q)
 
 
 # ---- scan_pq_pairs --------------------------------------------------------------
@@ -127,6 +129,12 @@ def test_scan_pq_pairs_cyclotomic_mode():
     assert report.hits[0].certificates["common_root"] == 3
     with pytest.raises(ValueError):
         scan_pq_pairs(700, mode="cyclotomic")
+
+
+def test_scan_pq_pairs_qr_mode_refuses_k():
+    # The mirror of "cyclotomic mode needs k": a k is refused, not dropped.
+    with pytest.raises(ValueError, match="qr mode takes no k"):
+        scan_pq_pairs(60, "qr", 3)
 
 
 # ---- exhaustive_skolem_search ----------------------------------------------------
