@@ -8,12 +8,16 @@ pair of residues, and a baby-step/giant-step discrete log.
 Residues are canonical representatives in 1..m-1 (0 is never a unit).
 Everything is computed on plain Python ints, so intermediate products
 cannot overflow; moduli up to 2^63 - 1 are accepted, although the
-scan-style callers stay far below that.  All functions are pure and
-safe to call concurrently.
+scan-style callers stay far below that.  All functions give the same
+result for the same arguments and are safe to call concurrently.  The
+one state kept is a memo of the factorization of p - 1 for each odd
+prime p a primitive-root test has seen, so a scan that tests many
+roots of one prime factors p - 1 once; no result depends on it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -114,21 +118,38 @@ def multiplicative_order(x: int, m: int) -> int:
     return order
 
 
-def is_primitive_root(r: int, p: int) -> bool:
-    """Whether r generates the full unit group of the odd prime p."""
+def _root_exponents(p: int) -> tuple[int, ...]:
+    """The exponents (p - 1)/f, f a prime factor of p - 1, of the odd prime p.
+
+    r mod p is a primitive root exactly when r^e != 1 for each of them.
+    A bool or non-int p is refused with InvalidModulus before the cache
+    is consulted: 281.0 and True would otherwise hash like 281 and 1.
+    """
+    if not isinstance(p, int) or isinstance(p, bool):
+        raise InvalidModulus(f"{p!r} is not an odd prime")
+    return _odd_prime_exponents(p)
+
+
+@functools.cache
+def _odd_prime_exponents(p: int) -> tuple[int, ...]:
+    # Memoized per odd prime; a refusal raises, so it is never cached.
     if not is_prime(p) or p == 2:
         raise InvalidModulus(f"{p} is not an odd prime")
+    return tuple((p - 1) // f for f in factorize(p - 1))
+
+
+def is_primitive_root(r: int, p: int) -> bool:
+    """Whether r generates the full unit group of the odd prime p."""
+    exponents = _root_exponents(p)
     r %= p
     if r == 0:
         return False
-    return all(pow(r, (p - 1) // f, p) != 1 for f in factorize(p - 1))
+    return all(pow(r, e, p) != 1 for e in exponents)
 
 
 def find_primitive_root(p: int) -> int:
     """Smallest generator of Z_p^*, deterministic."""
-    if not is_prime(p) or p == 2:
-        raise InvalidModulus(f"{p} is not an odd prime")
-    exponents = [(p - 1) // f for f in factorize(p - 1)]
+    exponents = _root_exponents(p)
     for r in range(2, p):
         if all(pow(r, e, p) != 1 for e in exponents):
             return r

@@ -48,6 +48,14 @@ def _require_scan_bound(candidates: int, what: str) -> None:
         raise BoundExceeded(f"{what}: {candidates} candidates exceed the scan bound {_SCAN_BOUND}")
 
 
+def _require_ints(**values: Any) -> None:
+    """First check of every scan and search: refuse a bool or non-int
+    integer argument, naming it, before any sieve, test or recursion."""
+    for name, value in values.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ScanHit:
     params: dict[str, int]
@@ -85,6 +93,7 @@ def _primes_upto(limit: int) -> list[int]:
 
 def _qr_primes(limit: int) -> list[int]:
     """The p of scan_qr_primes(limit), without certificates."""
+    _require_ints(limit=limit)
     _require_scan_bound(limit, f"qr-primes up to {limit}")
     return [p for p in _primes_upto(limit) if p % 8 == 3 and p != 3]
 
@@ -104,6 +113,7 @@ def scan_qr_primes(limit: int) -> ScanReport:
 
 def _cyclotomic_primes(k: int, limit: int) -> list[int]:
     """The p of scan_cyclotomic_primes(k, limit), without certificates."""
+    _require_ints(k=k, limit=limit)
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
     if k >= limit.bit_length():  # 2^k > limit, so no p = 2^k t + 1 fits
@@ -137,6 +147,7 @@ def find_common_primitive_root(p: int, q: int) -> int:
     """Smallest r >= 2 primitive mod both p and q; by the CRT one lies below p*q.
 
     is_primitive_root refuses a p or q that is not an odd prime."""
+    _require_ints(p=p, q=q)
     if p == q:
         raise InvalidModulus(f"({p}, {q}) must be distinct odd primes")
     return next(r for r in range(2, p * q) if is_primitive_root(r, p) and is_primitive_root(r, q))
@@ -211,6 +222,7 @@ def exhaustive_skolem_search(
     SearchTimeout instead, so the two can never be confused.  A modulus
     above 1001 raises BoundExceeded.
     """
+    _require_ints(n=n)
     if n < 3 or n % 2 == 0:
         raise ValueError(f"modulus must be odd and >= 3, got {n}")
     if n > _SEARCH_BOUND:
@@ -258,6 +270,7 @@ def enumerate_starters(n: int) -> list[Starter]:
     by construction, and each one is re-checked with verify_starter
     anyway so this stays an independent oracle.
     """
+    _require_ints(n=n)
     if n < 3 or n % 2 == 0:
         raise ValueError(f"modulus must be odd and >= 3, got {n}")
     if n > _ENUMERATION_BOUND:

@@ -21,6 +21,7 @@ from skolem_starters.modnt import (
     in_half_class,
     InvalidModulus,
     is_prime,
+    is_primitive_root,
     lift_primitive_root,
     multiplicative_order,
     NotAUnit,
@@ -100,11 +101,35 @@ def test_find_primitive_root(p, root):
         assert naive_order(c, p) < p - 1
 
 
+def test_find_primitive_root_is_the_smallest_generator_below_2000():
+    # Every odd prime, its memoized exponents of p - 1 checked against the
+    # oracle; the second call of each reads them from the cache.
+    for p in range(3, 2000, 2):
+        if trial_division_prime(p):
+            r = find_primitive_root(p)
+            assert naive_order(r, p) == p - 1, p
+            assert all(naive_order(c, p) < p - 1 for c in range(2, r)), p
+            assert find_primitive_root(p) == r
+
+
+def test_is_primitive_root_matches_the_naive_order_below_200():
+    for p in range(3, 200, 2):
+        if trial_division_prime(p):
+            for r in range(-p, 2 * p):
+                expected = r % p != 0 and naive_order(r, p) == p - 1
+                assert is_primitive_root(r, p) is expected, (r, p)
+
+
 def test_find_primitive_root_rejects_non_prime():
-    with pytest.raises(InvalidModulus):
-        find_primitive_root(121)
-    with pytest.raises(InvalidModulus):
-        find_primitive_root(2)
+    # 281 is cached first: an equal float or bool must still be refused, not
+    # answered from the int's entry, and a refusal is refused again.
+    assert find_primitive_root(281) == 3 and is_primitive_root(3, 281)
+    for p in (121, 2, 1, 0, -7, 281.0, 11.0, True, "281", None, [281]):
+        for _ in range(2):
+            with pytest.raises(InvalidModulus):
+                find_primitive_root(p)
+            with pytest.raises(InvalidModulus):
+                is_primitive_root(3, p)
 
 
 def test_lift_primitive_root_examples():

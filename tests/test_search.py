@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -131,10 +132,50 @@ def test_scan_pq_pairs_cyclotomic_mode():
         scan_pq_pairs(700, mode="cyclotomic")
 
 
+def test_scan_pq_pairs_common_roots_match_the_naive_search():
+    # One process, two scans: each prime pairs with many others, so most
+    # lookups of its root exponents come from the cache.
+    @functools.cache
+    def generates(r, p):
+        return r % p != 0 and naive_order(r, p) == p - 1
+
+    reports = (scan_pq_pairs(300), scan_pq_pairs(2000, "cyclotomic", 3))
+    assert [len(report.hits) for report in reports] == [100, 28]
+    for report in reports:
+        for hit in report.hits:
+            p, q = hit.params["p"], hit.params["q"]
+            smallest = next(r for r in itertools.count(2) if generates(r, p) and generates(r, q))
+            assert hit.certificates["common_root"] == smallest, (p, q)
+
+
 def test_scan_pq_pairs_qr_mode_refuses_k():
     # The mirror of "cyclotomic mode needs k": a k is refused, not dropped.
     with pytest.raises(ValueError, match="qr mode takes no k"):
         scan_pq_pairs(60, "qr", 3)
+
+
+# Each scan and search with a valid call; every keyword named is an integer.
+_INTEGER_CALLS = (
+    (scan_qr_primes, {"limit": 60}),
+    (scan_cyclotomic_primes, {"k": 3, "limit": 700}),
+    (scan_pq_pairs, {"limit": 60}),
+    (functools.partial(scan_pq_pairs, mode="cyclotomic"), {"limit": 700, "k": 3}),
+    (exhaustive_skolem_search, {"n": 19}),
+    (enumerate_starters, {"n": 7}),
+    (find_common_primitive_root, {"p": 11, "q": 19}),
+)
+
+
+def test_every_scan_and_search_refuses_a_bool_or_float_integer_argument(monkeypatch):
+    # The rule the recipes keep: True == 1 and 60.0 == 60, yet both are
+    # refused by name, before any sieve, primality test, root or recursion.
+    for name in ("_primes_upto", "is_prime", "is_primitive_root", "find_primitive_root", "multiplicative_order"):
+        monkeypatch.setattr(search, name, None)
+    for call, kwargs in _INTEGER_CALLS:
+        for name, value in kwargs.items():
+            for bad in (True, float(value)):
+                with pytest.raises(ValueError, match=f"^{name} must be an int, got {bad!r}$"):
+                    call(**{**kwargs, name: bad})
 
 
 # ---- exhaustive_skolem_search ----------------------------------------------------
