@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any
+from typing import Any, Iterable
 
 from . import constructions, search
 from .constructions import CoverageFailure
@@ -48,6 +48,13 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
             raise UsageError(f"bad pair {chunk!r}, expected lo,hi")
         pairs.append((int(parts[0]), int(parts[1])))
     return pairs
+
+
+def _refuse_unused(args: argparse.Namespace, names: Iterable[str], context: str) -> None:
+    """Refuse, naming it, the first of names given: it would be ignored."""
+    for name in names:
+        if getattr(args, name) is not None:
+            raise UsageError(f"{context} takes no --{name}")
 
 
 def _emit(doc: dict[str, Any]) -> None:
@@ -92,6 +99,8 @@ _METHODS = {
 
 def _run_construct(args: argparse.Namespace) -> int:
     names = _METHODS[args.method]
+    unused = [name for name in ("q", "n", "k") if name not in names]
+    _refuse_unused(args, unused, f"--method {args.method}")
     missing = [name for name in names if getattr(args, name) is None]
     if missing:
         raise UsageError(f"--method {args.method} requires --{missing[0]}")
@@ -114,6 +123,7 @@ def _run_construct(args: argparse.Namespace) -> int:
 
 def _run_verify(args: argparse.Namespace) -> int:
     if args.infile:
+        _refuse_unused(args, ("modulus", "pairs"), "verify --in")
         with open(args.infile, encoding="utf-8") as fh:
             starter = starter_from_json(fh.read())
     else:
@@ -132,6 +142,7 @@ def _run_verify(args: argparse.Namespace) -> int:
 
 def _run_scan(args: argparse.Namespace) -> int:
     if args.kind == "qr-primes":
+        _refuse_unused(args, ("k",), "scan --kind qr-primes")
         report = search.scan_qr_primes(args.limit)
     elif args.kind == "cyclotomic-primes":
         if args.k is None:
@@ -156,10 +167,8 @@ def _run_search(args: argparse.Namespace) -> int:
         find_all=args.all,
         timeout=args.timeout,
     )
-    docs = []
-    for s in found:
-        docs.append(starter_to_dict(s.with_metadata(classification=classify(s))))
     if args.json:
+        docs = [starter_to_dict(s.with_metadata(classification=classify(s))) for s in found]
         _emit(
             {
                 "modulus": args.modulus,

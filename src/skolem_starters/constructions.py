@@ -395,6 +395,12 @@ def check_minus_one_coset(p: int, q: int, k: int, r: int) -> bool:
     also checks that -1 lies in the coset r^(2^(k-1)) <r^(2^k)> of
     the units mod pq, from its exponents (p-1)/2 and (q-1)/2 with no
     discrete log.
+
+    Both checks are theorems under these hypotheses, so the result is
+    True or a HypothesisViolation, never False: the exponent is
+    2^(k-1) t1 t2 with t1, t2 odd, so Euler's criterion makes the power
+    -1 mod p and mod q; the exponents 2^(k-1) t1, 2^(k-1) t2 of -1 are
+    2^(k-1) mod 2^k and agree mod gcd(p-1, q-1) = 2^k gcd(t1, t2).
     """
     _require_bounded(p, q, k=k, r=r, each_prime=True)
     _cyclotomic_shape(p, k, "p")

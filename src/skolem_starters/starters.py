@@ -12,7 +12,8 @@ top of the base property:
 A Pair is a NamedTuple (lo, hi), so Pair(1, 2) == (1, 2) and pairs
 order and hash as plain tuples.  Starter.from_pairs validates and
 canonicalizes in one loop; all four verdicts come from one pass over
-the pairs (classify), which each verify_* function views.
+the pairs, made once per Starter and kept on it, which classify and
+each verify_* function read.  A decoded classification is checked.
 
 Verifiers return (verdict, witness): the witness is the first
 offending element / difference / sum / pair, kept small on purpose --
@@ -54,6 +55,8 @@ class Starter:
     pairs: tuple[Pair, ...]
     recipe: Any = field(default=None, compare=False, repr=False)
     classification: "Classification | None" = field(default=None, compare=False, repr=False)
+    # The witnesses of the one verification pass, which _verdict keeps.
+    _witnesses: "tuple[str | None, ...] | None" = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def k(self) -> int:
@@ -94,7 +97,10 @@ class Starter:
         return cls(modulus, tuple(map(tuple.__new__, repeat(Pair), ordered)))
 
     def with_metadata(self, recipe: Any = None, classification: "Classification | None" = None) -> "Starter":
-        return replace(self, recipe=recipe, classification=classification)
+        copy = replace(self, recipe=recipe, classification=classification)
+        # Same pairs, same verdicts: the copy keeps a pass already made.
+        object.__setattr__(copy, "_witnesses", self._witnesses)
+        return copy
 
 
 _VERDICTS = ("starter", "strong", "skolem", "cardioidal")
@@ -130,51 +136,20 @@ class Classification:
             "witnesses": dict(self.witnesses),
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "Classification":
-        if not isinstance(doc, dict) or any(type(doc.get(key)) is not bool for key in _VERDICTS):
-            raise MalformedStarter(
-                f"classification needs the boolean verdicts {', '.join(_VERDICTS)}, got {doc!r}"
-            )
-        dependent = doc.get("dependent", not doc["starter"])
-        witnesses = doc.get("witnesses", {})
-        if type(dependent) is not bool:
-            raise MalformedStarter(f"classification 'dependent' must be a boolean, got {dependent!r}")
-        if not isinstance(witnesses, dict) or not all(
-            key in _VERDICTS and isinstance(w, str) for key, w in witnesses.items()
-        ):
-            raise MalformedStarter(
-                f"classification witnesses must map verdict names to strings, got {witnesses!r}"
-            )
-        return cls(
-            is_starter=doc["starter"],
-            is_strong=doc["strong"],
-            is_skolem=doc["skolem"],
-            is_cardioidal=doc["cardioidal"],
-            dependent=dependent,
-            witnesses=dict(witnesses),
-        )
 
-
-def _require_shape(s: Starter) -> None:
-    if len(s.pairs) != s.k:
-        raise MalformedStarter(
-            f"modulus {s.modulus} needs {s.k} pairs, got {len(s.pairs)}"
-        )
-
-
-def _verify_all(s: Starter) -> tuple[Verdict, Verdict, Verdict, Verdict]:
-    """The starter, strong, Skolem and cardioidal verdicts in one pass.
+def _verify_all(s: Starter) -> tuple[str | None, str | None, str | None, str | None]:
+    """The starter, strong, Skolem and cardioidal witnesses in one pass.
 
     The pass counts members, difference classes and integer
     differences in lists indexed by value, and settles the strong and
     cardioidal verdicts on the fly.  Each witness is the one the
-    verifier's docstring names; finding a starter or Skolem witness
-    rescans the pairs, on failure only.  Expects the canonical pairs
-    from_pairs makes: 0 < lo < hi < n.
+    verifier's docstring names, None where the verdict holds; finding
+    a starter or Skolem witness rescans the pairs, on failure only.
+    Expects the canonical pairs from_pairs makes: 0 < lo < hi < n.
     """
-    _require_shape(s)
     n, k, pairs = s.modulus, s.k, s.pairs
+    if len(pairs) != k:
+        raise MalformedStarter(f"modulus {n} needs {k} pairs, got {len(pairs)}")
     members = [0] * n
     classes = [0] * (k + 1)
     diffs = [0] * n
@@ -225,21 +200,15 @@ def _verify_all(s: Starter) -> tuple[Verdict, Verdict, Verdict, Verdict]:
             if diffs[d] > 1:
                 skolem = f"integer difference {d} occurs {diffs[d]} times"
                 break
-    return tuple((w is None, w) for w in (starter, strong, skolem, cardioidal))
+    return starter, strong, skolem, cardioidal
 
 
-class _Verified:
-    """The verdicts of one _verify_all pass, which classify hands to the
-    verify_* views so each view answers without a pass of its own."""
-
-    __slots__ = ("verdicts",)
-
-    def __init__(self, s: Starter) -> None:
-        self.verdicts = _verify_all(s)
-
-
-def _verdicts(s: Starter | _Verified) -> tuple[Verdict, Verdict, Verdict, Verdict]:
-    return s.verdicts if isinstance(s, _Verified) else _verify_all(s)
+def _verdict(s: Starter, i: int) -> Verdict:
+    """Verdict i of the one pass over s, made on first use and kept."""
+    if s._witnesses is None:
+        object.__setattr__(s, "_witnesses", _verify_all(s))
+    witness = s._witnesses[i]
+    return witness is None, witness
 
 
 def verify_starter(s: Starter) -> Verdict:
@@ -248,7 +217,7 @@ def verify_starter(s: Starter) -> Verdict:
     Witness: the smallest element not occurring exactly once, else the
     first pair whose difference class repeats.
     """
-    return _verdicts(s)[0]
+    return _verdict(s, 0)
 
 
 def verify_strong(s: Starter) -> Verdict:
@@ -257,7 +226,7 @@ def verify_strong(s: Starter) -> Verdict:
     Witness: the first pair with sum 0, or with the sum of an earlier
     pair, which it names.
     """
-    return _verdicts(s)[1]
+    return _verdict(s, 1)
 
 
 def verify_skolem(s: Starter) -> Verdict:
@@ -267,7 +236,7 @@ def verify_skolem(s: Starter) -> Verdict:
     with 0 < hi - lo < n both readings demand the same k-element set.
     Witness: the first pair whose difference exceeds k or repeats.
     """
-    return _verdicts(s)[2]
+    return _verdict(s, 2)
 
 
 def verify_cardioidal(s: Starter) -> Verdict:
@@ -275,18 +244,19 @@ def verify_cardioidal(s: Starter) -> Verdict:
 
     Witness: the first pair that is not a doubling pair.
     """
-    return _verdicts(s)[3]
+    return _verdict(s, 3)
 
 
 def classify(s: Starter) -> Classification:
     """Run all four verifiers and bundle verdicts plus witnesses.
 
-    One pass settles all four.  Its verdicts still go through the
-    public verify_* functions, so whatever wraps them (perfbench's
-    tracer counts verdicts there) sees each one.
+    One pass per Starter settles all four and is kept on it, so
+    classify on a starter already verified makes no second pass.  The
+    verdicts still go through the public verify_* functions, so
+    whatever wraps them (perfbench's tracer counts verdicts there) sees
+    each one.
     """
-    v = _Verified(s)
-    verdicts = (verify_starter(v), verify_strong(v), verify_skolem(v), verify_cardioidal(v))
+    verdicts = (verify_starter(s), verify_strong(s), verify_skolem(s), verify_cardioidal(s))
     (ok_starter, _), (ok_strong, _), (ok_skolem, _), (ok_card, _) = verdicts
     return Classification(
         is_starter=ok_starter,
@@ -336,9 +306,19 @@ def starter_to_dict(s: Starter) -> dict[str, Any]:
 _DOCUMENT_KEYS = frozenset({"modulus", "pairs", "recipe", "classification"})
 
 
+def _same_json(value: Any, want: Any) -> bool:
+    """value equals want as a JSON value: true is not 1, and objects
+    have the same keys."""
+    if isinstance(want, dict):
+        return (isinstance(value, dict) and value.keys() == want.keys()
+                and all(_same_json(value[key], w) for key, w in want.items()))
+    return type(value) is type(want) and value == want
+
+
 def starter_from_dict(doc: dict[str, Any]) -> Starter:
     """Decode and validate a starter document; MalformedStarter if it
-    is not one.  An attached classification is kept, not recomputed."""
+    is not one.  A classification other than null must be exactly the
+    one classify gives for the pairs; the starter carries that one."""
     if not isinstance(doc, dict):
         raise MalformedStarter(f"a starter document is a JSON object, got {type(doc).__name__}")
     missing = [key for key in ("modulus", "pairs") if key not in doc]
@@ -354,10 +334,13 @@ def starter_from_dict(doc: dict[str, Any]) -> Starter:
         raise MalformedStarter(f"recipe must be an object or null, got {type(recipe).__name__}")
     s = Starter.from_pairs(doc["modulus"], doc["pairs"])
     cls = doc.get("classification")
-    return s.with_metadata(
-        recipe=recipe,
-        classification=None if cls is None else Classification.from_dict(cls),
-    )
+    if cls is None:
+        return s.with_metadata(recipe=recipe)
+    computed = classify(s)
+    want = computed.to_dict()
+    if not _same_json(cls, want):
+        raise MalformedStarter(f"classification is not the one its pairs give: {json.dumps(want)}")
+    return s.with_metadata(recipe=recipe, classification=computed)
 
 
 # One pair as json.dumps(indent=2) lays it out inside the document.

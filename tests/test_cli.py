@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skolem_starters import search
+from skolem_starters import constructions, search
 from skolem_starters.cli import _METHODS, main
 from test_starters import Z19_PAIRS
 
@@ -199,6 +199,31 @@ def test_scan_huge_k_is_an_empty_scan(capsys, kind):
     assert code == 1
     assert json.loads(out)["hits"] == []
     assert err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["construct", "--method", "qr", "--p", "11", "--q", "19", "--n", "5", "--k", "3"],
+         "error: --method qr takes no --q\n"),
+        (["construct", "--method", "cyclotomic", "--p", "281", "--k", "3", "--n", "2"],
+         "error: --method cyclotomic takes no --n\n"),
+        (["scan", "--kind", "qr-primes", "--limit", "30", "--k", "3"],
+         "error: scan --kind qr-primes takes no --k\n"),
+        (["verify", "--in", "F", "--modulus", "3", "--pairs", "1,2"],
+         "error: verify --in takes no --modulus\n"),
+        (["verify", "--in", "F", "--pairs", "1,2"], "error: verify --in takes no --pairs\n"),
+    ],
+)
+def test_argument_that_would_be_ignored_exits_2(capsys, monkeypatch, argv, err):
+    # Refused before any arithmetic; the file F is never opened.
+    def refuse(*args, **kwargs):
+        raise AssertionError("reached the library")
+
+    for name in ("qr_starter", "cyclotomic_starter"):
+        monkeypatch.setattr(constructions, name, refuse)
+    monkeypatch.setattr(search, "scan_qr_primes", refuse)
+    assert run(capsys, *argv) == (2, "", err)
 
 
 def test_scan_cyclotomic_requires_k(capsys):

@@ -354,6 +354,26 @@ def test_minus_one_coset_takes_no_discrete_log(monkeypatch):
     assert check_minus_one_coset(281, 617, 3, 3) is True
 
 
+def test_minus_one_coset_holds_for_every_small_k3_pair():
+    # The certificate is a theorem: for every pair of primes 8t + 1 with t
+    # odd > 1, -1 lies in the half-shift coset of the smallest common
+    # primitive root, by the discrete-log oracle, and the smallest common
+    # non-residue passes the certificate.
+    primes = [p for p in range(25, 2000, 16) if trial_division_prime(p)]
+    squares = {p: squares_set(p) for p in primes}
+    checked = 0
+    for i, p in enumerate(primes):
+        for q in primes[i + 1:]:
+            r = find_common_primitive_root(p, q)
+            ep, eq = naive_dlog(p - 1, r, p), naive_dlog(q - 1, r, q)
+            assert (ep - eq) % math.gcd(p - 1, q - 1) == 0, (p, q, r)
+            assert ep % 8 == eq % 8 == 4, (p, q, r)
+            r = next(x for x in range(2, p) if x not in squares[p] and x not in squares[q])
+            assert check_minus_one_coset(p, q, 3, r) is True, (p, q, r)
+            checked += 1
+    assert checked == 561
+
+
 def test_two_in_coset_certificate():
     assert check_two_in_coset(281, 617, 3, 3)
 

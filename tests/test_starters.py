@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skolem_starters import cli, starters
 from skolem_starters.starters import (
-    Classification,
     classify,
     MalformedStarter,
     negate_starter,
@@ -290,6 +290,65 @@ def test_json_is_byte_stable(z19):
     assert json.loads(a)["modulus"] == 19
 
 
-def test_classification_dict_round_trip():
-    cls = Classification(True, False, True, True, False, {"strong": "pair (1, 2) has sum 0 mod 3"})
-    assert Classification.from_dict(cls.to_dict()) == cls
+# The document of Z_3 = {(1, 2)} with its classification, and edits that
+# make the classification something other than the one its pair gives.
+Z3_DOC = {
+    "modulus": 3,
+    "pairs": [[1, 2]],
+    "recipe": None,
+    "classification": {
+        "starter": True, "strong": False, "skolem": True, "cardioidal": True,
+        "dependent": False, "witnesses": {"strong": "pair (1, 2) has sum 0 mod 3"},
+    },
+}
+
+
+def _without(key):
+    cls = dict(Z3_DOC["classification"])
+    del cls[key]
+    return cls
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [
+        pytest.param(dict(Z3_DOC["classification"], strong=True), id="flipped-verdict"),
+        pytest.param(dict(Z3_DOC["classification"], starter=1), id="one-for-true"),
+        pytest.param(_without("dependent"), id="missing-dependent"),
+        pytest.param(_without("witnesses"), id="missing-witnesses"),
+        pytest.param(dict(Z3_DOC["classification"], witnesses={"strong": "pair (1, 2) has sum 0 mod 5"}),
+                     id="stale-witness"),
+        pytest.param(dict(Z3_DOC["classification"], extra=None), id="extra-key"),
+    ],
+)
+def test_decoded_classification_must_be_the_pairs_own(capsys, tmp_path, cls):
+    doc = dict(Z3_DOC, classification=cls)
+    with pytest.raises(MalformedStarter, match="classification"):
+        starter_from_dict(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    for mode in (["--json"], []):
+        code = cli.main(["verify", "--in", str(path), *mode])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("error: classification ") and "Traceback" not in err
+    back = starter_from_dict(Z3_DOC)
+    assert back.classification == classify(back)
+    assert back.classification.to_dict() == Z3_DOC["classification"]
+
+
+def test_one_verification_pass_per_starter(monkeypatch, z19):
+    passes = []
+    verify_all = starters._verify_all
+    monkeypatch.setattr(starters, "_verify_all", lambda s: passes.append(s) or verify_all(s))
+    cls = classify(z19)
+    for verify in (verify_starter, verify_strong, verify_skolem, verify_cardioidal):
+        assert verify(z19)[0]
+    copy = z19.with_metadata(recipe={"method": "qr", "p": 19}, classification=cls)
+    assert classify(copy) == cls
+    assert len(passes) == 1
+    text = starter_to_json(copy)
+    passes.clear()
+    back = starter_from_json(text)
+    assert classify(back) == cls
+    assert len(passes) == 1
