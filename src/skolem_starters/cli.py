@@ -63,7 +63,8 @@ def _emit(doc: dict[str, Any]) -> None:
 
 def _print_starter_human(s: Starter) -> None:
     cls = s.classification or classify(s)
-    print(f"modulus {s.modulus}: {len(s.pairs)} pairs")
+    pairs = s.pairs
+    print(f"modulus {s.modulus}: {len(pairs)} pairs")
     if s.recipe is not None:
         recipe = s.recipe.to_dict() if hasattr(s.recipe, "to_dict") else s.recipe
         shown = {k: v for k, v in recipe.items() if v is not None}
@@ -77,11 +78,11 @@ def _print_starter_human(s: Starter) -> None:
         print(f"witness[{name}]: {witness}")
     # Skolem starters read best sorted by their realized difference.
     if cls.is_skolem:
-        ordered = sorted(s.pairs, key=lambda pr: pr.hi - pr.lo)
+        ordered = sorted(pairs, key=lambda pr: pr.hi - pr.lo)
         for pr in ordered:
             print(f"  d={pr.hi - pr.lo}: ({pr.lo}, {pr.hi})")
     else:
-        for pr in s.pairs:
+        for pr in pairs:
             print(f"  ({pr.lo}, {pr.hi})")
 
 

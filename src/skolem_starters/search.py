@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from .modnt import (
@@ -286,7 +286,9 @@ def enumerate_starters(n: int) -> list[Starter]:
             cand = Starter.from_pairs(n, current)
             ok, _ = verify_starter(cand)
             if ok:
-                found.append(cand)
+                # A fresh copy: the result keeps no verification pass
+                # that only this check asked for.
+                found.append(replace(cand))
             return
         a = 1
         while used[a]:

@@ -9,11 +9,14 @@ top of the base property:
   Skolem     -- the integer differences hi - lo are exactly {1, .., k}
   cardioidal -- every pair has the doubling shape {x, 2x mod n}
 
-A Pair is a NamedTuple (lo, hi), so Pair(1, 2) == (1, 2) and pairs
-order and hash as plain tuples.  Starter.from_pairs validates and
-canonicalizes in one loop; all four verdicts come from one pass over
-the pairs, made once per Starter and kept on it, which classify and
-each verify_* function read.  A decoded classification is checked.
+A Starter keeps its canonical pairs as two int columns, lows and
+highs, sorted in (lo, hi) order; Starter.from_pairs validates and
+canonicalizes in one loop.  The verifiers and the JSON encoder walk
+the columns.  Its pairs property builds a tuple of Pairs on each read:
+a Pair is a NamedTuple (lo, hi), so Pair(1, 2) == (1, 2) and pairs
+order and hash as plain tuples.  All four verdicts come from one pass
+over the pairs, made once per Starter and kept on it, which classify
+and each verify_* function read.  A decoded classification is checked.
 
 Verifiers return (verdict, witness): the witness is the first
 offending element / difference / sum / pair, kept small on purpose --
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Any, Iterable, NamedTuple
 
 
@@ -46,13 +49,16 @@ Verdict = tuple[bool, "str | None"]
 class Starter:
     """A candidate starter: odd modulus plus canonically sorted pairs.
 
-    recipe and classification are optional attachments (filled in by
-    the construction layer); they never take part in equality, so two
+    Pair i is (lows[i], highs[i]), 0 < lo < hi < n, in ascending
+    (lo, hi) order; build one with from_pairs.  recipe and
+    classification are optional attachments (filled in by the
+    construction layer); they never take part in equality, so two
     starters are equal exactly when their pair sets coincide.
     """
 
     modulus: int
-    pairs: tuple[Pair, ...]
+    lows: tuple[int, ...]
+    highs: tuple[int, ...]
     recipe: Any = field(default=None, compare=False, repr=False)
     classification: "Classification | None" = field(default=None, compare=False, repr=False)
     # The witnesses of the one verification pass, which _verdict keeps.
@@ -61,6 +67,12 @@ class Starter:
     @property
     def k(self) -> int:
         return (self.modulus - 1) // 2
+
+    @property
+    def pairs(self) -> tuple[Pair, ...]:
+        """The pairs as Pairs, built afresh on each read."""
+        # tuple.__new__ builds each Pair in C, skipping Pair's Python-level __new__.
+        return tuple(map(tuple.__new__, repeat(Pair), zip(self.lows, self.highs)))
 
     @classmethod
     def from_pairs(cls, modulus: int, pairs: Iterable[tuple[int, int] | Pair]) -> "Starter":
@@ -92,9 +104,9 @@ class Starter:
                 raise MalformedStarter(f"pair ({a}, {b}) contains 0 mod {modulus}")
             else:
                 raise MalformedStarter(f"pair members coincide: {a} mod {modulus}")
-        # tuple.__new__ builds each Pair in C, skipping Pair's Python-level __new__.
-        ordered = map(divmod, sorted(keys), repeat(modulus))
-        return cls(modulus, tuple(map(tuple.__new__, repeat(Pair), ordered)))
+        ordered = sorted(keys)
+        return cls(modulus, tuple([key // modulus for key in ordered]),
+                   tuple([key % modulus for key in ordered]))
 
     def with_metadata(self, recipe: Any = None, classification: "Classification | None" = None) -> "Starter":
         copy = replace(self, recipe=recipe, classification=classification)
@@ -147,16 +159,17 @@ def _verify_all(s: Starter) -> tuple[str | None, str | None, str | None, str | N
     a starter or Skolem witness rescans the pairs, on failure only.
     Expects the canonical pairs from_pairs makes: 0 < lo < hi < n.
     """
-    n, k, pairs = s.modulus, s.k, s.pairs
-    if len(pairs) != k:
-        raise MalformedStarter(f"modulus {n} needs {k} pairs, got {len(pairs)}")
+    n, k, lows, highs = s.modulus, s.k, s.lows, s.highs
+    if len(lows) != k:
+        raise MalformedStarter(f"modulus {n} needs {k} pairs, got {len(lows)}")
     members = [0] * n
     classes = [0] * (k + 1)
     diffs = [0] * n
-    by_sum: list[Pair | None] = [None] * n
+    # by_sum[t] is the lo of the pair with sum t (0 for none): its hi
+    # is (t - lo) mod n.
+    by_sum = [0] * n
     strong = cardioidal = None
-    for pr in pairs:
-        lo, hi = pr
+    for lo, hi in zip(lows, highs):
         members[lo] += 1
         members[hi] += 1
         d = hi - lo
@@ -166,11 +179,11 @@ def _verify_all(s: Starter) -> tuple[str | None, str | None, str | None, str | N
             t = (lo + hi) % n
             if t == 0:
                 strong = f"pair ({lo}, {hi}) has sum 0 mod {n}"
-            elif by_sum[t] is None:
-                by_sum[t] = pr
+            elif not by_sum[t]:
+                by_sum[t] = lo
             else:
-                a, b = by_sum[t]
-                strong = f"pairs ({a}, {b}) and ({lo}, {hi}) share sum {t} mod {n}"
+                a = by_sum[t]
+                strong = f"pairs ({a}, {(t - a) % n}) and ({lo}, {hi}) share sum {t} mod {n}"
         if cardioidal is None and (2 * lo - hi) % n and (2 * hi - lo) % n:
             cardioidal = f"pair ({lo}, {hi}) is not a doubling pair mod {n}"
 
@@ -185,14 +198,14 @@ def _verify_all(s: Starter) -> tuple[str | None, str | None, str | None, str | N
         else:
             starter = f"element {e} never occurs among pair members"
     elif classes.count(1) != k:
-        d = next(d for d in (hi - lo for lo, hi in pairs) if classes[min(d, n - d)] > 1)
+        d = next(d for d in (hi - lo for lo, hi in zip(lows, highs)) if classes[min(d, n - d)] > 1)
         c = min(d, n - d)
         starter = f"difference class {{{c}, {n - c}}} covered more than once"
     skolem = None
     if diffs[1:k + 1].count(1) != k:
         # Some d exceeds k or repeats; with k pairs no d in 1..k can
         # then be missing without one of these showing first.
-        for lo, hi in pairs:
+        for lo, hi in zip(lows, highs):
             d = hi - lo
             if d > k:
                 skolem = f"integer difference {d} of pair ({lo}, {hi}) exceeds {k}"
@@ -275,7 +288,7 @@ def negate_starter(s: Starter) -> Starter:
     verdicts (sums negate, doubling pairs stay doubling pairs).
     """
     n = s.modulus
-    return Starter.from_pairs(n, ((n - pr.hi, n - pr.lo) for pr in s.pairs))
+    return Starter.from_pairs(n, ((n - hi, n - lo) for lo, hi in zip(s.lows, s.highs)))
 
 
 # --- JSON interchange ------------------------------------------------------
@@ -297,7 +310,7 @@ def starter_to_dict(s: Starter) -> dict[str, Any]:
     recipe, classification = _attachments(s)
     return {
         "modulus": s.modulus,
-        "pairs": list(map(list, s.pairs)),
+        "pairs": list(map(list, zip(s.lows, s.highs))),
         "recipe": recipe,
         "classification": classification,
     }
@@ -354,7 +367,11 @@ def _nested(value: Any) -> str:
 
 def starter_to_json(s: Starter) -> str:
     recipe, classification = _attachments(s)
-    pairs = "[\n" + ",\n".join(map(_PAIR_JSON.__mod__, s.pairs)) + "\n  ]" if s.pairs else "[]"
+    pairs = "[]"
+    if s.lows:
+        # One format call over lo, hi, lo, hi, ... fills every pair.
+        layout = ",\n".join([_PAIR_JSON] * len(s.lows))
+        pairs = "[\n" + layout % tuple(chain.from_iterable(zip(s.lows, s.highs))) + "\n  ]"
     return (
         f'{{\n  "modulus": {json.dumps(s.modulus)},\n  "pairs": {pairs},\n'
         f'  "recipe": {_nested(recipe)},\n  "classification": {_nested(classification)}\n}}'

@@ -52,6 +52,17 @@ def naive_coset(g: int, shift: int, m: int) -> set[int]:
     return out
 
 
+def canonical_pairs(n: int, pairs: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The pairs Starter.from_pairs keeps: each member reduced mod n,
+    each pair ordered lo < hi, repeats dropped, sorted.  MalformedStarter
+    for a pair with a member 0 mod n or two equal members."""
+    reduced = [(a % n, b % n) for a, b in pairs]
+    for a, b in reduced:
+        if a == 0 or b == 0 or a == b:
+            raise MalformedStarter(f"pair ({a}, {b}) is not a pair of Z_{n}")
+    return tuple(sorted({(min(a, b), max(a, b)) for a, b in reduced}))
+
+
 # --- the original verifiers ---------------------------------------------------
 #
 # Four separate passes with Counters, kept as the slow reference the

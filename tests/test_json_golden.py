@@ -227,7 +227,7 @@ def test_starters_without_recipe_keep_their_bytes(label):
 
 
 def test_empty_and_wrong_size_starters_match_json_dumps():
-    for s in (Starter(3, ()), Starter.from_pairs(9, [(1, 2)])):
+    for s in (Starter.from_pairs(3, []), Starter.from_pairs(9, [(1, 2)])):
         assert starter_to_json(s) == json.dumps(starter_to_dict(s), indent=2)
 
 

@@ -20,6 +20,7 @@ from skolem_starters.starters import (
     verify_starter,
     verify_strong,
 )
+from oracles import canonical_pairs
 
 # The published 9-pair strong Skolem starter for Z_19 -- the golden fixture.
 Z19_PAIRS = [
@@ -268,6 +269,69 @@ def test_classify_never_crashes_on_full_size_candidates(data):
     else:
         cls = classify(s)
         assert cls == classify(s)
+
+
+def _pair_lists(data, n):
+    """Two lists of pairs of Z_n, as from_pairs may be given them:
+    repeats, reversed pairs, members out of range or negative, empty,
+    short and long lists, and now and then a pair that is not a pair of
+    Z_n.  Half the time the second list names the same pair set."""
+    # Distinct nonzero residues a and b != a, each shifted by a multiple of n.
+    pair = st.builds(
+        lambda a, d, i, j: (a + i * n, (a + d - 1) % (n - 1) + 1 + j * n),
+        st.integers(1, n - 1), st.integers(1, n - 2), st.integers(-2, 2), st.integers(-2, 2),
+    )
+    first = data.draw(st.lists(pair, max_size=n + 1))
+    if first and data.draw(st.booleans()):
+        first += data.draw(st.lists(st.sampled_from(first), max_size=3))
+    if data.draw(st.integers(0, 9)) == 0:
+        bad = data.draw(st.tuples(st.integers(-n, 2 * n), st.integers(-n, 2 * n)))
+        first.insert(data.draw(st.integers(0, len(first))), bad)
+    if not data.draw(st.booleans()):
+        return first, data.draw(st.lists(pair, max_size=n + 1))
+    second = [
+        (b + i * n, a + j * n) if flip else (a + i * n, b + j * n)
+        for (a, b), flip, i, j in zip(
+            first,
+            data.draw(st.lists(st.booleans(), min_size=len(first), max_size=len(first))),
+            data.draw(st.lists(st.integers(-1, 1), min_size=len(first), max_size=len(first))),
+            data.draw(st.lists(st.integers(-1, 1), min_size=len(first), max_size=len(first))),
+        )
+    ]
+    return first, data.draw(st.permutations(second))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_canonicalization_matches_the_oracle(data):
+    n = data.draw(st.sampled_from([3, 5, 7, 9, 11]), label="n")
+    first, second = _pair_lists(data, n)
+    built = []
+    for ps in (first, second):
+        try:
+            want = canonical_pairs(n, ps)
+        except MalformedStarter:
+            with pytest.raises(MalformedStarter):
+                Starter.from_pairs(n, ps)
+            return
+        s = Starter.from_pairs(n, ps)
+        assert s.pairs == want
+        assert all(type(pr) is Pair for pr in s.pairs)
+        built.append(s)
+    s, t = built
+    same = set(s.pairs) == set(t.pairs)
+    assert (s == t) is same
+    assert (s == t and hash(s) == hash(t)) is same
+    dressed = s.with_metadata(recipe={"name": "any"})
+    assert dressed == s and hash(dressed) == hash(s)
+    if len(s.pairs) == s.k:
+        dressed = s.with_metadata(classification=classify(s))
+    for u in (s, dressed):
+        assert starter_to_json(u) == json.dumps(starter_to_dict(u), indent=2)
+    negated = negate_starter(s)
+    assert negated.pairs == canonical_pairs(n, [(-a, -b) for a, b in s.pairs])
+    assert negate_starter(negated) == s
+    assert negate_starter(negated).pairs == s.pairs
 
 
 # ---- JSON interchange ---------------------------------------------------------
