@@ -3,12 +3,17 @@
 The scanners find primes / prime pairs admissible for the doubling
 constructions (the cyclotomic scan walks p = 2^k t + 1, t odd, and
 tests 2 with modnt.in_half_class), each refusing with BoundExceeded
-a scan of more than 10^6 candidates; the exhaustive searcher settles
+a scan of more than 10^6 candidates.  The exhaustive searcher settles
 Skolem and strong Skolem existence for a single small modulus
 (n <= 1001) by complete backtracking over bitmasks of the free
-positions and used pair sums, and enumerate_starters lists
-every starter outright as an independent cross-check of both the
-verifiers and the searcher.
+positions and, for strong starters only, the used pair sums.  It
+walks half the tree: negation maps solutions to solutions, so the
+largest difference is placed only in the lower half of its range,
+and find_all adds the mirrored solutions in search order.  It uses
+neither the n mod 8 law nor a parity argument, so it stays an
+independent check of that law.  enumerate_starters lists every
+starter outright as an independent cross-check of both the verifiers
+and the searcher.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .modnt import (
     is_primitive_root,
     multiplicative_order,
 )
-from .starters import Starter, verify_starter
+from .starters import negate_starter, Starter, verify_starter
 
 
 class SearchTimeout(TimeoutError):
@@ -213,12 +218,25 @@ def exhaustive_skolem_search(
     """Complete backtracking search for Skolem starters of Z_n.
 
     Differences are placed largest-first, the pair (a, a + i) for
-    difference i in ascending a, so the result order is deterministic.
-    The state is two ints passed down: bits 1..n-1 of `free` are the
-    unused positions, so the open a are the bits of free & (free >> i);
-    bit t of `sums` marks a used pair sum, refused (as is t = 0) when
-    require_strong.  The clock is read every 4096 placements.  An empty
-    result means proven nonexistence; running out of wall clock raises
+    difference i in ascending a, so results come in lexicographic order
+    of (a_k, .., a_1) and the order is deterministic.  The state is two
+    ints passed down: bits 1..n-1 of `free` are the unused positions,
+    so the open a are the bits of free & (free >> i); when
+    require_strong, bit t of `sums` marks a used pair sum, refused as
+    is t = 0.  The plain search computes no sums and passes 0.
+
+    Negation x -> n - x (negate_starter) maps Skolem starters to Skolem
+    starters and strong ones to strong ones (sums negate), and takes
+    each a_i to n - i - a_i; the top pair (a, a + k) goes to
+    (k + 1 - a, n - a).  So the top pair is placed only at
+    a <= (k + 1) / 2, which halves the tree.  The first result is
+    unchanged: it is the least one, and the solution set is closed
+    under negation.  With find_all, the negations of the solutions
+    whose top pair negation does not fix are appended, in reverse:
+    negation reverses the order, so the list stays in search order.
+
+    The clock is read every 4096 placements.  An empty result means
+    proven nonexistence by exhaustion; running out of wall clock raises
     SearchTimeout instead, so the two can never be confused.  A modulus
     above 1001 raises BoundExceeded.
     """
@@ -236,6 +254,8 @@ def exhaustive_skolem_search(
     chosen = [(0, 0)] * k
     solutions: list[Starter] = []
     nodes = 0
+    # Bits 1..(k + 1) // 2: the a the top pair (a, a + k) may take.
+    top = (2 << (k + 1) // 2) - 2
 
     def place(i: int, free: int, sums: int) -> bool:
         nonlocal nodes
@@ -243,22 +263,33 @@ def exhaustive_skolem_search(
             solutions.append(Starter.from_pairs(n, chosen))
             return not find_all
         cand = free & (free >> i)
+        if i == k:
+            cand &= top
         while cand:
             low = cand & -cand
             cand ^= low
             a = low.bit_length() - 1
-            t = (2 * a + i) % n
-            if require_strong and (t == 0 or sums >> t & 1):
-                continue
+            if require_strong:
+                t = (2 * a + i) % n
+                if t == 0 or sums >> t & 1:
+                    continue
+                next_sums = sums | 1 << t
+            else:
+                next_sums = 0
             nodes += 1
             if nodes % 4096 == 0 and deadline is not None and time.monotonic() > deadline:
                 raise SearchTimeout(f"search at modulus {n} exceeded {timeout} s")
             chosen[i - 1] = (a, a + i)
-            if place(i - 1, free ^ (low | low << i), sums | 1 << t):
+            if place(i - 1, free ^ (low | low << i), next_sums):
                 return True
         return False
 
     place(k, (1 << n) - 2, 0)
+    if find_all:
+        # (m, n - m) is the top pair negation fixes when k is odd; when k
+        # is even its difference is k + 1, so no solution holds it.
+        m = (k + 1) // 2
+        solutions += [negate_starter(s) for s in reversed(solutions) if (m, n - m) not in zip(s.lows, s.highs)]
     return solutions
 
 

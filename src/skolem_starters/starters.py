@@ -284,8 +284,9 @@ def classify(s: Starter) -> Classification:
 def negate_starter(s: Starter) -> Starter:
     """Map every pair elementwise to its negative mod n, re-canonicalized.
 
-    An involution; it preserves the starter, strong and cardioidal
-    verdicts (sums negate, doubling pairs stay doubling pairs).
+    An involution; it preserves the starter, strong, Skolem and
+    cardioidal verdicts (sums negate, (lo, hi) goes to (n - hi, n - lo)
+    with the same hi - lo, doubling pairs stay doubling pairs).
     """
     n = s.modulus
     return Starter.from_pairs(n, ((n - hi, n - lo) for lo, hi in zip(s.lows, s.highs)))

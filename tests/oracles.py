@@ -180,8 +180,9 @@ def classify(s: Starter) -> Classification:
 # --- the original exhaustive search -------------------------------------------
 #
 # The bytearray-and-set backtracking that the bitmask search in
-# skolem_starters.search replaced, with its timeout taken out: the
-# same tree (largest difference first, ascending lower endpoint), so
+# skolem_starters.search replaced, with its timeout taken out.  It
+# walks the whole tree in the bitmask search's order (largest
+# difference first, ascending lower endpoint) with no negation cut, so
 # the two must return the same starters in the same order.
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -311,6 +312,24 @@ def test_search_all_modulus_3(capsys):
     code, out, _ = run(capsys, "search", "--modulus", "3", "--all", "--json")
     assert code == 0
     assert json.loads(out)["found"] == 1
+
+
+# (arguments, sha256 of the --json stdout, exit code), recorded before the
+# search placed the top pair in one half only: the same starters, in the
+# same order, give the same bytes.
+SEARCH_DIGESTS = [
+    (("--modulus", "19", "--all"), "0dc71a4d9c480699cef50e6fe7a8da91c405f83d3ec4515c03da5c7f849e0291", 0),
+    (("--modulus", "19", "--strong", "--all"), "d3814680ef69a029ab8759389ea28ef44462840468c624860fc7330b1660dc75", 0),
+    (("--modulus", "21", "--all"), "db3438ccd77f889d9891041cfad3b0410a5ffe58a3a65edadd09225fd7cd644f", 1),
+    (("--modulus", "27", "--strong"), "8558e9448766abefff75f3efefe82faae6b774dfeb293911d89facf899f9c69b", 0),
+]
+
+
+@pytest.mark.parametrize("argv,digest,exit_code", SEARCH_DIGESTS)
+def test_search_json_keeps_its_bytes(capsys, argv, digest, exit_code):
+    code, out, _ = run(capsys, "search", *argv, "--json")
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # ---- selftest ---------------------------------------------------------------------

@@ -281,16 +281,35 @@ def test_search_find_all_at_11():
 
 
 def test_search_matches_the_backtracking_oracle():
-    # Same tree, same order: the bitmask search returns exactly the list
-    # the bytearray-and-set backtracking it replaced returns.
+    # Same results, same order: the bitmask search, which walks half the
+    # tree and mirrors the rest, returns exactly the list the
+    # bytearray-and-set backtracking over the whole tree returns.
+    # n = 21 (k = 10) has no solution, and no top pair is its own negation.
     for strong in (False, True):
-        for n in range(3, 20, 2):
+        for n in range(3, 22, 2):
             expected = backtrack_skolem_search(n, require_strong=strong, find_all=True)
             assert exhaustive_skolem_search(n, require_strong=strong, find_all=True) == expected, (n, strong)
     for n in (11, 17, 19, 25, 27, 33):
         assert exhaustive_skolem_search(n, require_strong=True) == backtrack_skolem_search(n, require_strong=True)
     for n in (n for n in range(3, 28, 2) if n % 8 in (1, 3)):
         assert exhaustive_skolem_search(n) == backtrack_skolem_search(n)
+
+
+def test_search_results_are_closed_under_negation():
+    # The search places the top pair (a, a + k) only at a <= (k + 1) / 2
+    # and mirrors the rest: the first result already lies in that half,
+    # and find_all returns each solution's negation too.
+    for strong in (False, True):
+        for n in range(3, 22, 2):
+            k = (n - 1) // 2
+            found = exhaustive_skolem_search(n, require_strong=strong, find_all=True)
+            assert len(set(found)) == len(found), (n, strong)
+            assert {negate_starter(s) for s in found} == set(found), (n, strong)
+            first = exhaustive_skolem_search(n, require_strong=strong)
+            assert first == found[:1], (n, strong)
+            for s in first:
+                top = next(lo for lo, hi in zip(s.lows, s.highs) if hi - lo == k)
+                assert 2 * top <= k + 1, (n, strong)
 
 
 # ---- enumerate_starters ------------------------------------------------------------
@@ -346,8 +365,9 @@ def test_enumerated_verdicts_stable_under_negation():
         for s in enumerate_starters(n):
             before = classify(s)
             after = classify(negate_starter(s))
-            assert (before.is_starter, before.is_strong, before.is_cardioidal) == (
+            assert (before.is_starter, before.is_strong, before.is_skolem, before.is_cardioidal) == (
                 after.is_starter,
                 after.is_strong,
+                after.is_skolem,
                 after.is_cardioidal,
             )
