@@ -21,6 +21,8 @@ Doubling and negation both map the kept half of an orbit onto the
 other half when 2 and -1 lie in the half-shift class
 r^(delta/2) <r^delta>.  The hypotheses at p settle this mod p^n, and
 -1 always lies there mod pq; only 2 mod pq is checked before the walk.
+The coset certificates compute only what their hypotheses leave open:
+nothing for -1, the two discrete logs of 2 for check_two_in_coset.
 
 A modulus, or a coset certificate's prime, above _CONSTRUCTION_BOUND
 raises BoundExceeded before any arithmetic.  Hypothesis checks come
@@ -144,13 +146,18 @@ def _require_qr_prime(p: int, name: str = "p", mod: int = 8) -> None:
     _require(p != 3, f"{name} = 3 is excluded")
 
 
-def _cyclotomic_shape(p: int, k: int, name: str = "p") -> None:
-    """p is a prime 2^k t + 1 with k >= 3 and t odd > 1."""
+def _two_adic_prime(p: int, k: int, name: str = "p") -> None:
+    """k >= 3 and p is a prime with 2^k dividing p - 1."""
     _require(k >= 3, f"k must be >= 3, got {k}")
     _require(is_prime(p), f"{name} = {p} is not prime")
     # (p - 1) & (1 - p) is the largest power of 2 dividing p - 1; 2^k is
     # not built before k is known to be small.
     _require(k < ((p - 1) & (1 - p)).bit_length(), f"2^{k} does not divide {name} - 1 = {p - 1}")
+
+
+def _cyclotomic_shape(p: int, k: int, name: str = "p") -> None:
+    """p is a prime 2^k t + 1 with k >= 3 and t odd > 1."""
+    _two_adic_prime(p, k, name)
     t = (p - 1) >> k
     _require(t % 2 == 1, f"({name}-1)/2^{k} = {t} must be odd")
     _require(t > 1, f"({name}-1)/2^{k} must exceed 1")
@@ -194,18 +201,14 @@ def _walk(modulus: int, root: int, delta: int, mult: int) -> tuple[list[tuple[in
 
 def _in_half_shift(x: int, root: int, p: int, q: int, delta: int) -> bool:
     """The unit x lies in the coset root^(delta/2) <root^delta> mod pq,
-    root a common primitive root of p and q: _half_shift of the
-    exponents of x mod p and mod q, two discrete logs."""
-    return _half_shift(discrete_log(x, root, p, p - 1), discrete_log(x, root, q, q - 1), p, q, delta)
+    root a common primitive root of p and q and delta dividing p-1 and
+    q-1.
 
-
-def _half_shift(ep: int, eq: int, p: int, q: int, delta: int) -> bool:
-    """The unit root^ep mod p, root^eq mod q lies in the coset
-    root^(delta/2) <root^delta> mod pq, delta dividing p-1 and q-1.
-
-    It is root^e for an e = ep (mod p-1), eq (mod q-1), which exists
-    exactly when ep = eq (mod gcd(p-1, q-1)); then e = ep (mod delta).
+    Two discrete logs give x = root^ep mod p and root^eq mod q.  Then x
+    is root^e for an e = ep (mod p-1), eq (mod q-1), which exists
+    exactly when ep = eq (mod gcd(p-1, q-1)), and e = ep (mod delta).
     """
+    ep, eq = discrete_log(x, root, p, p - 1), discrete_log(x, root, q, q - 1)
     return (ep - eq) % math.gcd(p - 1, q - 1) == 0 and ep % delta == delta >> 1
 
 
@@ -389,32 +392,28 @@ def pq_cyclotomic_starter(p: int, q: int, k: int, beta: int | str = BETA_TWO) ->
 def check_minus_one_coset(p: int, q: int, k: int, r: int) -> bool:
     """Certify that -1 behaves like a half-shift for the pair (p, q).
 
-    For p = 2^k t1 + 1, q = 2^k t2 + 1 (t1 < t2 odd > 1) and r a
-    non-residue mod both primes: checks r^((p-1)(q-1)/2^(k+1)) = -1
-    (mod pq) exactly; when r is additionally a common primitive root,
-    also checks that -1 lies in the coset r^(2^(k-1)) <r^(2^k)> of
-    the units mod pq, from its exponents (p-1)/2 and (q-1)/2 with no
-    discrete log.
+    Hypotheses, checked in this order: p = 2^k t1 + 1 and
+    q = 2^k t2 + 1 are primes with k >= 3, t1 < t2 odd > 1, and r is a
+    quadratic non-residue mod p and mod q.  A failed hypothesis raises
+    HypothesisViolation; otherwise the result is True, with nothing
+    left to compute.
 
-    Both checks are theorems under these hypotheses, so the result is
-    True or a HypothesisViolation, never False: the exponent is
+    The theorem: then r^((p-1)(q-1)/2^(k+1)) = -1 (mod pq), and when r
+    is also a common primitive root, -1 lies in the coset
+    r^(2^(k-1)) <r^(2^k)> of the units mod pq.  The exponent is
     2^(k-1) t1 t2 with t1, t2 odd, so Euler's criterion makes the power
-    -1 mod p and mod q; the exponents 2^(k-1) t1, 2^(k-1) t2 of -1 are
-    2^(k-1) mod 2^k and agree mod gcd(p-1, q-1) = 2^k gcd(t1, t2).
+    -1 mod p and mod q.  The exponents 2^(k-1) t1 and 2^(k-1) t2 of -1
+    mod p and mod q are 2^(k-1) mod 2^k and agree mod
+    gcd(p-1, q-1) = 2^k gcd(t1, t2).  Tests check both conclusions for
+    every small pair with k = 3, 4 and 5.
     """
     _require_bounded(p, q, k=k, r=r, each_prime=True)
     _cyclotomic_shape(p, k, "p")
     _cyclotomic_shape(q, k, "q")
-    delta = 1 << k
-    _require((p - 1) // delta < (q - 1) // delta, "need t1 < t2")
+    _require((p - 1) >> k < (q - 1) >> k, "need t1 < t2")
     for m in (p, q):
         _require(in_half_class(r, m, m - 1, 2), f"r = {r} is not a quadratic non-residue mod {m}")
-    modulus = p * q
-    exponent = (p - 1) * (q - 1) // (1 << (k + 1))
-    result = pow(r, exponent, modulus) == modulus - 1
-    if is_primitive_root(r, p) and is_primitive_root(r, q):
-        result = result and _half_shift((p - 1) // 2, (q - 1) // 2, p, q, delta)
-    return result
+    return True
 
 
 def check_two_in_coset(p: int, q: int, k: int, r: int) -> bool:
@@ -429,10 +428,8 @@ def check_two_in_coset(p: int, q: int, k: int, r: int) -> bool:
     """
     _require_bounded(p, q, k=k, r=r, each_prime=True)
     _require(p != q, f"p and q must be distinct, got {p} twice")
-    _require(k >= 3, f"k must be >= 3, got {k}")
-    for name, value in (("p", p), ("q", q)):
-        _require(is_prime(value), f"{name} = {value} is not prime")
-        _require(k < ((value - 1) & (1 - value)).bit_length(), f"2^{k} does not divide {name} - 1")
+    _two_adic_prime(p, k, "p")
+    _two_adic_prime(q, k, "q")
     _require(
         is_primitive_root(r, p) and is_primitive_root(r, q),
         f"r = {r} must be a common primitive root of {p} and {q}",

@@ -149,11 +149,8 @@ def is_primitive_root(r: int, p: int) -> bool:
 
 def find_primitive_root(p: int) -> int:
     """Smallest generator of Z_p^*, deterministic."""
-    exponents = _root_exponents(p)
-    for r in range(2, p):
-        if all(pow(r, e, p) != 1 for e in exponents):
-            return r
-    raise InvalidModulus(f"no primitive root found for {p}")  # pragma: no cover
+    _root_exponents(p)  # refuses p = 2, whose range below is empty, with the rest
+    return next(r for r in range(2, p) if is_primitive_root(r, p))
 
 
 def lift_primitive_root(r: int, p: int, n: int) -> int:

@@ -284,7 +284,10 @@ def exhaustive_skolem_search(
                 return True
         return False
 
-    place(k, (1 << n) - 2, 0)
+    try:
+        place(k, (1 << n) - 2, 0)
+    finally:
+        del place  # place holds itself in a closure cell: break the cycle that keeps the results
     if find_all:
         # (m, n - m) is the top pair negation fixes when k is odd; when k
         # is even its difference is k + 1, so no solution holds it.
@@ -342,4 +345,5 @@ def enumerate_starters(n: int) -> list[Starter]:
         used[a] = 0
 
     rec(0)
+    del rec  # rec holds itself, as place does
     return found

@@ -345,21 +345,24 @@ def test_minus_one_coset_accepts_non_root_nqr():
 
 
 def test_minus_one_coset_takes_no_discrete_log(monkeypatch):
-    # 3 is a common primitive root of 281 and 617, so the coset branch runs:
-    # the exponents of -1 are (p-1)/2 and (q-1)/2, known without a log.
-    def refuse(*args):
-        raise AssertionError("discrete_log called")
+    # 3 is a common primitive root of 281 and 617, yet the certificate
+    # computes nothing past its hypotheses: no root test and no log.
+    for name in ("discrete_log", "is_primitive_root"):
+        def refuse(*args, name=name):
+            raise AssertionError(f"{name} called")
 
-    monkeypatch.setattr(constructions, "discrete_log", refuse)
+        monkeypatch.setattr(constructions, name, refuse)
     assert check_minus_one_coset(281, 617, 3, 3) is True
 
 
-def test_minus_one_coset_holds_for_every_small_k3_pair():
-    # The certificate is a theorem: for every pair of primes 8t + 1 with t
-    # odd > 1, -1 lies in the half-shift coset of the smallest common
-    # primitive root, by the discrete-log oracle, and the smallest common
-    # non-residue passes the certificate.
-    primes = [p for p in range(25, 2000, 16) if trial_division_prime(p)]
+def _check_minus_one_theorem(k: int) -> int:
+    # The certificate is a theorem: for every pair of primes 2^k t + 1 < 2000
+    # with t odd > 1, -1 lies in the half-shift coset of the smallest common
+    # primitive root, by the discrete-log oracle, and the power of the
+    # smallest common non-residue is -1 mod pq; that non-residue passes the
+    # certificate.  Returns the number of pairs checked.
+    delta = 1 << k
+    primes = [p for p in range(3 * delta + 1, 2000, 2 * delta) if trial_division_prime(p)]
     squares = {p: squares_set(p) for p in primes}
     checked = 0
     for i, p in enumerate(primes):
@@ -367,11 +370,23 @@ def test_minus_one_coset_holds_for_every_small_k3_pair():
             r = find_common_primitive_root(p, q)
             ep, eq = naive_dlog(p - 1, r, p), naive_dlog(q - 1, r, q)
             assert (ep - eq) % math.gcd(p - 1, q - 1) == 0, (p, q, r)
-            assert ep % 8 == eq % 8 == 4, (p, q, r)
+            assert ep % delta == eq % delta == delta >> 1, (p, q, r)
             r = next(x for x in range(2, p) if x not in squares[p] and x not in squares[q])
-            assert check_minus_one_coset(p, q, 3, r) is True, (p, q, r)
+            assert pow(r, (p - 1) * (q - 1) // (2 * delta), p * q) == p * q - 1, (p, q, r)
+            assert check_minus_one_coset(p, q, k, r) is True, (p, q, r)
             checked += 1
-    assert checked == 561
+    return checked
+
+
+def test_minus_one_coset_holds_for_every_small_k3_pair():
+    assert _check_minus_one_theorem(3) == 561
+
+
+@pytest.mark.parametrize("k,pairs", [(4, 120), (5, 21)])
+def test_minus_one_coset_holds_for_every_small_pair_at_larger_k(k, pairs):
+    # 16 primes 16t + 1 and 7 primes 32t + 1 below 2000: every k the
+    # certificate accepts is held to the theorem, not k = 3 alone.
+    assert _check_minus_one_theorem(k) == pairs
 
 
 def test_two_in_coset_certificate():
@@ -415,8 +430,13 @@ def test_in_half_shift_matches_the_walk_of_the_common_root():
 
 def test_two_in_coset_accepts_even_t():
     # 113 = 2^3 * 14 + 1 and 577 = 2^3 * 72 + 1: the certificate needs only
-    # 2^k | p - 1, not the recipes' t odd > 1.
+    # 2^k | p - 1, not the recipes' t odd > 1, and refuses a larger 2^k in
+    # the recipes' words.
     assert check_two_in_coset(113, 577, 3, 5) is True
+    with pytest.raises(HypothesisViolation, match=r"^2\^4 does not divide p - 1 = 280$"):
+        check_two_in_coset(281, 577, 4, 5)
+    with pytest.raises(HypothesisViolation, match=r"^2\^5 does not divide q - 1 = 240$"):
+        check_two_in_coset(97, 241, 5, 5)
 
 
 def test_pq_cyclotomic_refuses_two_outside_the_coset_before_the_walk():

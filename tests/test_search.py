@@ -1,6 +1,8 @@
 import functools
+import gc
 import itertools
 import math
+import weakref
 
 import pytest
 
@@ -310,6 +312,23 @@ def test_search_results_are_closed_under_negation():
             for s in first:
                 top = next(lo for lo, hi in zip(s.lows, s.highs) if hi - lo == k)
                 assert 2 * top <= k + 1, (n, strong)
+
+
+def test_search_and_enumeration_results_die_with_the_last_reference():
+    # The recursive closures hold no reference cycle that outlives the call:
+    # with the cyclic collector off, dropping the list frees its starters.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        runs = (functools.partial(exhaustive_skolem_search, 19, find_all=True), functools.partial(enumerate_starters, 11))
+        for run in runs:
+            result = run()
+            refs = [weakref.ref(result[0]), weakref.ref(result[-1])]
+            del result
+            assert [ref() for ref in refs] == [None, None], run
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # ---- enumerate_starters ------------------------------------------------------------
