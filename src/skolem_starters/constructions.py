@@ -19,8 +19,8 @@ and delta, walks once and certifies the pairs (_certified):
 
 Doubling and negation both map the kept half of an orbit onto the
 other half when 2 and -1 lie in the half-shift class
-r^(delta/2) <r^delta>.  The hypotheses at p settle this mod p^n, and
--1 always lies there mod pq; only 2 mod pq is checked before the walk.
+r^(delta/2) <r^delta>.  The hypotheses settle this mod p^n, and mod pq
+for all but 2 in pq_cyclotomic_starter, which is checked first.
 The coset certificates compute only what their hypotheses leave open:
 nothing for -1, the two discrete logs of 2 for check_two_in_coset.
 
@@ -225,23 +225,19 @@ def _prime_power(p: int, n: int, root: int, delta: int, recipe: Recipe) -> Start
     return _certified(p**n, pairs, recipe)
 
 
-def _pq(p: int, q: int, delta: int, recipe: Recipe) -> Starter:
-    """The certified walk on Z_{pq} with the smallest common primitive
-    root r, which the recipe records with lambda.
+def _pq(p: int, q: int, root: int, delta: int, recipe: Recipe) -> Starter:
+    """The certified walk on Z_{pq} with root, the smallest common
+    primitive root r, which the recipe records with lambda.
 
     The orbits of r are p * (units mod q), q * (units mod p) and the
     cosets of <r> in the units.  They are covered when 2 and -1 lie in
     the coset r^(delta/2) <r^delta>.  -1 always does: its exponents
     (p-1)/2 = 2^(k-1) t1 and (q-1)/2 = 2^(k-1) t2 (delta = 2^k, t1 and
-    t2 odd) agree mod gcd(p-1, q-1) and are delta/2 mod delta.  2 may
-    not, which the congruence of its two discrete logs decides
-    (_in_half_shift, CoverageFailure).  lambda is the first unit leader
+    t2 odd) agree mod gcd(p-1, q-1) and are delta/2 mod delta.  For 2
+    that is the recipe's to settle.  lambda is the first unit leader
     after 1, the smallest unit outside <r>.
     """
     modulus = p * q
-    root = find_common_primitive_root(p, q)
-    if not _in_half_shift(2, root, p, q, delta):
-        raise CoverageFailure(f"2 is not in the coset r^{delta >> 1} <r^{delta}> mod {modulus}")
     pairs, leaders = _walk(modulus, root, delta, _beta_multiplier(recipe.beta, modulus))
     lam = next(c for c in leaders[1:] if c % p and c % q)
     return _certified(modulus, pairs, replace(recipe, lam=lam, root=root))
@@ -357,7 +353,9 @@ def pq_starter(p: int, q: int, beta: int | str = BETA_TWO) -> Starter:
     keeps p * QR(q), q * QR(p), <r^2> and lambda <r^2>.  The units hold
     gcd(p-1, q-1) cosets of <r> and the recipe is stated for two, so
     pairs that pass the congruence hypotheses with a larger gcd raise
-    CoverageFailure.
+    CoverageFailure.  With gcd 2, 2 lies in the coset r <r^2> with no
+    discrete log: p, q = 3 (mod 8) make 2 a non-residue mod both, so
+    its two exponents are odd, agree mod 2 and are 1 mod delta = 2.
     """
     _require_bounded(p, q)
     _require_qr_prime(p)
@@ -370,7 +368,7 @@ def pq_starter(p: int, q: int, beta: int | str = BETA_TWO) -> Starter:
             f"gcd(p-1, q-1) = {g}: the four cosets of <r^2> span only "
             f"{2 * (p - 1) * (q - 1) // g} of the {(p - 1) * (q - 1)} units mod {p * q}"
         )
-    return _pq(p, q, 2, Recipe(method="pq", p=p, q=q, beta=beta))
+    return _pq(p, q, find_common_primitive_root(p, q), 2, Recipe(method="pq", p=p, q=q, beta=beta))
 
 
 def pq_cyclotomic_starter(p: int, q: int, k: int, beta: int | str = BETA_TWO) -> Starter:
@@ -379,14 +377,18 @@ def pq_cyclotomic_starter(p: int, q: int, k: int, beta: int | str = BETA_TWO) ->
     The walk of a common primitive root r with delta = 2^k (see _pq):
     the multiples of p and of q are covered like in cyclotomic_starter,
     mod q and mod p, and the units by the low half of every coset of
-    <r>.  The smallest unit outside <r> is recorded as lambda.
+    <r>.  The smallest unit outside <r> is recorded as lambda.  2 may
+    miss the coset mod pq: its two discrete logs decide (_in_half_shift).
     """
     _require_bounded(p, q, k=k)
     _cyclotomic_prime(p, k, "p")
     _cyclotomic_prime(q, k, "q")
     _require_pq_pair(p, q)
     beta = _doubling_beta(beta)
-    return _pq(p, q, 1 << k, Recipe(method="pq_cyclotomic", p=p, q=q, k=k, beta=beta))
+    root, delta = find_common_primitive_root(p, q), 1 << k
+    if not _in_half_shift(2, root, p, q, delta):
+        raise CoverageFailure(f"2 is not in the coset r^{delta >> 1} <r^{delta}> mod {p * q}")
+    return _pq(p, q, root, delta, Recipe(method="pq_cyclotomic", p=p, q=q, k=k, beta=beta))
 
 
 def check_minus_one_coset(p: int, q: int, k: int, r: int) -> bool:

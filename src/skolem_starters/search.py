@@ -238,16 +238,17 @@ def exhaustive_skolem_search(
     The clock is read every 4096 placements.  An empty result means
     proven nonexistence by exhaustion; running out of wall clock raises
     SearchTimeout instead, so the two can never be confused.  A modulus
-    above 1001 raises BoundExceeded.
+    above 1001 raises BoundExceeded, and a timeout that is not None or
+    a non-bool int or float >= 0 raises ValueError.
     """
     _require_ints(n=n)
     if n < 3 or n % 2 == 0:
         raise ValueError(f"modulus must be odd and >= 3, got {n}")
     if n > _SEARCH_BOUND:
         raise BoundExceeded(f"exhaustive search is capped at n <= {_SEARCH_BOUND}, got {n}")
-    # Written so that NaN fails too: no clock reading ever exceeds it.
-    if timeout is not None and not timeout >= 0:
-        raise ValueError(f"timeout must be a non-negative number of seconds, got {timeout}")
+    # Not a bool; written so that NaN fails too: no clock reading ever exceeds it.
+    if timeout is not None and (type(timeout) not in (int, float) or not timeout >= 0):
+        raise ValueError(f"timeout must be a non-negative number of seconds, got {timeout!r}")
     k = (n - 1) // 2
     deadline = None if timeout is None else time.monotonic() + timeout
     # chosen[i - 1] is the pair of difference i: nothing to undo on backtrack.

@@ -16,7 +16,8 @@ the columns.  Its pairs property builds a tuple of Pairs on each read:
 a Pair is a NamedTuple (lo, hi), so Pair(1, 2) == (1, 2) and pairs
 order and hash as plain tuples.  All four verdicts come from one pass
 over the pairs, made once per Starter and kept on it, which classify
-and each verify_* function read.  A decoded classification is checked.
+and each verify_* function read.  A Classification stores only the
+witnesses, and a decoded classification is checked.
 
 Verifiers return (verdict, witness): the witness is the first
 offending element / difference / sum / pair, kept small on purpose --
@@ -78,11 +79,13 @@ class Starter:
     def from_pairs(cls, modulus: int, pairs: Iterable[tuple[int, int] | Pair]) -> "Starter":
         """Reduce each pair mod n, order it lo < hi, drop repeats, sort.
 
-        The modulus and every pair member must be an int (bool is
-        not); every pair must have exactly two members.
+        The modulus and every pair member must be an int (bool is not);
+        pairs must be iterable, every pair of exactly two members.
         """
         if type(modulus) is not int or modulus < 3 or modulus % 2 == 0:
             raise MalformedStarter(f"modulus must be an odd integer >= 3, got {modulus!r}")
+        if not isinstance(pairs, Iterable):
+            raise MalformedStarter(f"pairs must be iterable, got {type(pairs).__name__}")
         # A pair (lo, hi) is keyed as lo * n + hi: the keys sort in
         # (lo, hi) order, and ints deduplicate and sort faster than tuples.
         keys: set[int] = set()
@@ -120,33 +123,28 @@ _VERDICTS = ("starter", "strong", "skolem", "cardioidal")
 
 @dataclass
 class Classification:
-    """Joint verdict of the four verifiers with failure witnesses.
+    """Joint verdict of the four verifiers, stored as the failing ones'
+    witnesses: a verdict holds exactly when its name has no witness.
 
     When is_starter is false the strong/Skolem verdicts are still
-    computed but `dependent` is set: they describe a near-miss, not a
-    starter.
+    computed but `dependent` is set: they describe a near-miss.
     """
 
-    is_starter: bool
-    is_strong: bool
-    is_skolem: bool
-    is_cardioidal: bool
-    dependent: bool
-    witnesses: dict[str, str] = field(default_factory=dict)
+    witnesses: dict[str, str]
+
+    is_starter = property(lambda self: "starter" not in self.witnesses)
+    is_strong = property(lambda self: "strong" not in self.witnesses)
+    is_skolem = property(lambda self: "skolem" not in self.witnesses)
+    is_cardioidal = property(lambda self: "cardioidal" not in self.witnesses)
+    dependent = property(lambda self: not self.is_starter)
 
     @property
     def all_four(self) -> bool:
         return self.is_starter and self.is_strong and self.is_skolem and self.is_cardioidal
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "starter": self.is_starter,
-            "strong": self.is_strong,
-            "skolem": self.is_skolem,
-            "cardioidal": self.is_cardioidal,
-            "dependent": self.dependent,
-            "witnesses": dict(self.witnesses),
-        }
+        verdicts = {name: name not in self.witnesses for name in _VERDICTS}
+        return {**verdicts, "dependent": self.dependent, "witnesses": dict(self.witnesses)}
 
 
 def _verify_all(s: Starter) -> tuple[str | None, str | None, str | None, str | None]:
@@ -261,7 +259,7 @@ def verify_cardioidal(s: Starter) -> Verdict:
 
 
 def classify(s: Starter) -> Classification:
-    """Run all four verifiers and bundle verdicts plus witnesses.
+    """Run all four verifiers and bundle their witnesses.
 
     One pass per Starter settles all four and is kept on it, so
     classify on a starter already verified makes no second pass.  The
@@ -270,15 +268,7 @@ def classify(s: Starter) -> Classification:
     each one.
     """
     verdicts = (verify_starter(s), verify_strong(s), verify_skolem(s), verify_cardioidal(s))
-    (ok_starter, _), (ok_strong, _), (ok_skolem, _), (ok_card, _) = verdicts
-    return Classification(
-        is_starter=ok_starter,
-        is_strong=ok_strong,
-        is_skolem=ok_skolem,
-        is_cardioidal=ok_card,
-        dependent=not ok_starter,
-        witnesses={name: w for name, (_, w) in zip(_VERDICTS, verdicts) if w is not None},
-    )
+    return Classification({name: w for name, (_, w) in zip(_VERDICTS, verdicts) if w is not None})
 
 
 def negate_starter(s: Starter) -> Starter:

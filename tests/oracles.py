@@ -153,28 +153,19 @@ def verify_cardioidal(s: Starter) -> tuple[bool, str | None]:
 
 
 def classify(s: Starter) -> Classification:
-    """Run all four verifiers and bundle verdicts plus witnesses."""
-    ok_starter, w_starter = verify_starter(s)
-    ok_strong, w_strong = verify_strong(s)
-    ok_skolem, w_skolem = verify_skolem(s)
-    ok_card, w_card = verify_cardioidal(s)
+    """Run all four verifiers and bundle their witnesses, after checking
+    that each verdict holds exactly when its verifier gives no witness."""
     witnesses = {}
-    for name, w in (
-        ("starter", w_starter),
-        ("strong", w_strong),
-        ("skolem", w_skolem),
-        ("cardioidal", w_card),
+    for name, (ok, w) in (
+        ("starter", verify_starter(s)),
+        ("strong", verify_strong(s)),
+        ("skolem", verify_skolem(s)),
+        ("cardioidal", verify_cardioidal(s)),
     ):
+        assert ok is (w is None), (name, ok, w)
         if w is not None:
             witnesses[name] = w
-    return Classification(
-        is_starter=ok_starter,
-        is_strong=ok_strong,
-        is_skolem=ok_skolem,
-        is_cardioidal=ok_card,
-        dependent=not ok_starter,
-        witnesses=witnesses,
-    )
+    return Classification(witnesses)
 
 
 # --- the original exhaustive search -------------------------------------------

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 from collections import Counter
 
@@ -652,7 +653,10 @@ def test_two_and_minus_one_lie_in_the_half_shift_class_at_every_stratum():
 
 
 def test_minus_one_and_two_lie_in_the_half_shift_coset_of_every_pq_starter():
-    # _pq checks 2 only: -1 always lies in the coset.
+    # pq_cyclotomic_starter checks 2 only: -1 always lies in the coset.
+    # pq_starter checks neither: with p, q = 3 (mod 8) and gcd(p-1, q-1) = 2,
+    # both are non-residues mod p and mod q, so their exponents are odd,
+    # agree mod the gcd and are 1 mod delta = 2.
     checked = Counter()
     for recipe, args, s in _doubling_starters():
         r = s.recipe
@@ -663,6 +667,53 @@ def test_minus_one_and_two_lie_in_the_half_shift_coset_of_every_pq_starter():
             assert _in_half_shift(x, r.root, r.p, r.q, delta), (recipe, args, x)
         checked[recipe] += 1
     assert set(checked) == {"pq_starter", "pq_cyclotomic_starter"}
+    # Every pair below 400 that pq_starter's hypotheses admit with gcd 2,
+    # by the discrete-log oracle at the common primitive root it uses.
+    primes = [p for p in range(3, 400, 8) if trial_division_prime(p)]
+    pairs = 0
+    for i, p in enumerate(primes):
+        for q in primes[i + 1 :]:
+            if math.gcd(p - 1, q - 1) != 2 or (q - 1) % (p - 1) == 0:
+                continue
+            r = find_common_primitive_root(p, q)
+            for x in (2, p * q - 1):
+                assert naive_dlog(x, r, p) % 2 == naive_dlog(x, r, q) % 2 == 1, (p, q, x)
+            pairs += 1
+    assert pairs == 117
+
+
+def test_pq_starter_takes_no_discrete_log(monkeypatch):
+    # 2 lies in the coset by the theorem above, so pq_starter builds the
+    # same document with the discrete log gone; pq_cyclotomic_starter,
+    # where 2 can miss the coset, still takes one.
+    def refuse(*args):
+        raise AssertionError("discrete log taken")
+
+    monkeypatch.setattr(constructions, "discrete_log", refuse)
+    text = starter_to_json(pq_starter(11, 19))
+    assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[("pq_starter", (11, 19, 2))]
+    with pytest.raises(AssertionError, match="discrete log taken"):
+        pq_cyclotomic_starter(281, 617, 3)
+
+
+def test_qr_starter_is_the_doubling_walk_only_when_every_orbit_leader_is_a_residue():
+    # The walk of x -> 2x keeps the leader of each orbit and qr_starter keeps
+    # the quadratic residues, so the two agree exactly when every leader is
+    # a residue.  That holds whenever 2 is a primitive root, but not only
+    # then: ord(2) is 50 mod 251 and 362 mod 1811.  qr_starter cannot be
+    # replaced by the walk without moving its digests.
+    primes = [p for p in range(11, 3000, 8) if trial_division_prime(p)]
+    agree = []
+    for p in primes:
+        pairs, leaders = constructions._walk(p, 2, 2, 2)
+        same = qr_starter(p) == Starter.from_pairs(p, pairs)
+        residues = squares_set(p)
+        assert same == all(c in residues for c in leaders), p
+        if same:
+            agree.append(p)
+    assert (len(primes), len(agree)) == (108, 80)
+    assert {43, 283, 307, 331}.isdisjoint(agree)
+    assert [p for p in agree if naive_order(2, p) != p - 1] == [251, 1811]
 
 
 def test_one_parity_check_rejects_other_starters():

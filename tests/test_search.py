@@ -218,6 +218,17 @@ def test_search_rejects_nan_and_negative_timeout(timeout):
         exhaustive_skolem_search(21, timeout=timeout)
 
 
+@pytest.mark.parametrize(
+    "timeout", ["5", True, False, b"1", [1], complex(1)], ids=["str", "true", "false", "bytes", "list", "complex"]
+)
+def test_search_rejects_a_timeout_that_is_not_an_int_or_float(timeout):
+    # True would otherwise run as 1 s, and "5" would fail on the clock
+    # arithmetic with a raw TypeError; an int is accepted as a float is.
+    with pytest.raises(ValueError, match="timeout must be a non-negative number of seconds"):
+        exhaustive_skolem_search(11, timeout=timeout)
+    assert exhaustive_skolem_search(11, timeout=5) == exhaustive_skolem_search(11, timeout=5.0)
+
+
 def test_search_zero_timeout_is_valid():
     assert len(exhaustive_skolem_search(3, timeout=0.0)) == 1
     with pytest.raises(SearchTimeout):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from skolem_starters import cli, starters
 from skolem_starters.starters import (
+    Classification,
     classify,
     MalformedStarter,
     negate_starter,
@@ -67,6 +69,12 @@ def test_starter_rejects_bad_modulus():
         Starter.from_pairs(4, [(1, 2)])
     with pytest.raises(MalformedStarter):
         Starter.from_pairs(1, [])
+
+
+def test_starter_rejects_pairs_that_are_not_iterable():
+    for pairs in (None, 7, Pair):
+        with pytest.raises(MalformedStarter, match="pairs must be iterable"):
+            Starter.from_pairs(5, pairs)
 
 
 def test_verifiers_reject_wrong_pair_count():
@@ -209,6 +217,27 @@ def test_classify_flags_dependent_verdicts():
     cls = classify(Starter.from_pairs(5, [(1, 2), (3, 4)]))
     assert not cls.is_starter
     assert cls.dependent
+
+
+def test_classification_verdicts_are_read_from_its_witnesses():
+    # Every subset of the four names as the failing verifiers: each verdict
+    # holds exactly when its name has no witness.
+    names = ("starter", "strong", "skolem", "cardioidal")
+    assert [f.name for f in dataclasses.fields(Classification)] == ["witnesses"]
+    for mask in range(16):
+        failing = [name for i, name in enumerate(names) if mask >> i & 1]
+        witnesses = {name: f"{name} witness" for name in failing}
+        cls = Classification(witnesses)
+        doc = cls.to_dict()
+        assert list(doc) == [*names, "dependent", "witnesses"]
+        assert [doc[name] for name in names] == [name not in failing for name in names]
+        assert [cls.is_starter, cls.is_strong, cls.is_skolem, cls.is_cardioidal] == [
+            name not in failing for name in names
+        ]
+        assert doc["dependent"] is cls.dependent is ("starter" in failing)
+        assert doc["witnesses"] == witnesses and list(doc["witnesses"]) == failing
+        assert doc["witnesses"] is not witnesses
+        assert cls.all_four is (mask == 0)
 
 
 def test_classify_is_pure(z19):
