@@ -53,7 +53,8 @@ BETA_TWO = 2
 BETA_TWO_INVERSE = "2inv"
 
 # Largest modulus a recipe builds; a build near it (Z_999979) peaks at
-# about 190 MB.  Z_173377 and Z_78961 = 281^2 sit well inside it.
+# about 150 MB, and decoding its JSON at about 185 MB (Python 3.11).
+# Z_173377 and Z_78961 = 281^2 sit well inside it.
 _CONSTRUCTION_BOUND = 10**6
 
 

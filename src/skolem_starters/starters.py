@@ -10,14 +10,18 @@ top of the base property:
   cardioidal -- every pair has the doubling shape {x, 2x mod n}
 
 A Starter keeps its canonical pairs as two int columns, lows and
-highs, sorted in (lo, hi) order; Starter.from_pairs validates and
-canonicalizes in one loop.  The verifiers and the JSON encoder walk
-the columns.  Its pairs property builds a tuple of Pairs on each read:
-a Pair is a NamedTuple (lo, hi), so Pair(1, 2) == (1, 2) and pairs
-order and hash as plain tuples.  All four verdicts come from one pass
-over the pairs, made once per Starter and kept on it, which classify
-and each verify_* function read.  A Classification stores only the
-witnesses, and a decoded classification is checked.
+highs, sorted in (lo, hi) order.  Starter.from_pairs validates and
+canonicalizes on one of two paths: a sized input of at least 64 pairs
+with n <= 4 * len(pairs) is sorted by counting, in a list of n slots
+indexed by lo; any other input, and one where a lo meets a second hi,
+goes through a set of keys lo * n + hi and a sort.  The verifiers and
+the JSON encoder walk the columns.  Its pairs property builds a tuple
+of Pairs on each read: a Pair is a NamedTuple (lo, hi), so
+Pair(1, 2) == (1, 2) and pairs order and hash as plain tuples.  All
+four verdicts come from one pass over the pairs, made once per Starter
+and kept on it, which classify and each verify_* function read.  A
+Classification stores only the witnesses, and a decoded classification
+is checked.
 
 Verifiers return (verdict, witness): the witness is the first
 offending element / difference / sum / pair, kept small on purpose --
@@ -27,9 +31,11 @@ it exists for debugging, not for enumerating every failure.
 from __future__ import annotations
 
 import json
+import operator
+from collections.abc import Iterable, Sized
 from dataclasses import dataclass, field, replace
-from itertools import chain, repeat
-from typing import Any, Iterable, NamedTuple
+from itertools import chain, compress, repeat
+from typing import Any, NamedTuple
 
 
 class MalformedStarter(ValueError):
@@ -44,6 +50,10 @@ class Pair(NamedTuple):
 
 
 Verdict = tuple[bool, "str | None"]
+
+# Fewest pairs that Starter.from_pairs sorts by counting; the search's
+# many small starters stay on the key set, which allocates less.
+_COUNTING_MIN_PAIRS = 64
 
 
 @dataclass(frozen=True)
@@ -81,11 +91,21 @@ class Starter:
 
         The modulus and every pair member must be an int (bool is not);
         pairs must be iterable, every pair of exactly two members.
+
+        A sized input of at least _COUNTING_MIN_PAIRS pairs with
+        n <= 4 * len(pairs) is sorted by counting: partner[lo] = hi in
+        a list of n slots, read back in lo order.  If one lo meets a
+        second hi, the pairs seen so far move to the key set and the
+        rest follow them there.  Any other input takes the key set
+        from the start: each pair keyed as lo * n + hi, then sorted,
+        so a huge modulus with few pairs allocates nothing of size n.
         """
         if type(modulus) is not int or modulus < 3 or modulus % 2 == 0:
             raise MalformedStarter(f"modulus must be an odd integer >= 3, got {modulus!r}")
         if not isinstance(pairs, Iterable):
             raise MalformedStarter(f"pairs must be iterable, got {type(pairs).__name__}")
+        counting = isinstance(pairs, Sized) and _COUNTING_MIN_PAIRS <= len(pairs) and modulus <= 4 * len(pairs)
+        partner: list[int] | None = [0] * modulus if counting else None
         # A pair (lo, hi) is keyed as lo * n + hi: the keys sort in
         # (lo, hi) order, and ints deduplicate and sort faster than tuples.
         keys: set[int] = set()
@@ -99,14 +119,27 @@ class Starter:
                 raise MalformedStarter(f"pair {pr!r} has a member that is not an integer")
             a %= modulus
             b %= modulus
-            if 0 < a < b:
+            if not 0 < a < b:
+                if 0 < b < a:
+                    a, b = b, a
+                elif a == 0 or b == 0:
+                    raise MalformedStarter(f"pair ({a}, {b}) contains 0 mod {modulus}")
+                else:
+                    raise MalformedStarter(f"pair members coincide: {a} mod {modulus}")
+            if partner is None:
                 add(a * modulus + b)
-            elif 0 < b < a:
-                add(b * modulus + a)
-            elif a == 0 or b == 0:
-                raise MalformedStarter(f"pair ({a}, {b}) contains 0 mod {modulus}")
-            else:
-                raise MalformedStarter(f"pair members coincide: {a} mod {modulus}")
+            elif not partner[a]:
+                partner[a] = b
+            elif partner[a] != b:
+                keys.update([lo * modulus + hi for lo, hi in enumerate(partner) if hi])
+                partner = None
+                add(a * modulus + b)
+        if partner is not None:
+            # x + 0 makes fresh ints in sorted order: reusing the
+            # caller's ints, which sit in their input order, slows
+            # every later walk over highs.
+            return cls(modulus, tuple(compress(range(modulus), partner)),
+                       tuple(map(operator.add, filter(None, partner), repeat(0))))
         ordered = sorted(keys)
         return cls(modulus, tuple([key // modulus for key in ordered]),
                    tuple([key % modulus for key in ordered]))

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -173,6 +174,14 @@ def test_verify_unreadable_file_exits_2(capsys, tmp_path):
 def test_verify_malformed_pairs_exit_2(capsys):
     code, _, err = run(capsys, "verify", "--modulus", "9", "--pairs", "1,2,3")
     assert code == 2
+
+
+def test_verify_huge_modulus_with_one_pair_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--modulus", "1000000000001", "--pairs", "1,2")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err == "error: modulus 1000000000001 needs 500000000000 pairs, got 1\n"
 
 
 # ---- scan -----------------------------------------------------------------------

@@ -1,11 +1,14 @@
 import dataclasses
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skolem_starters import cli, starters
+from skolem_starters.constructions import qr_starter
+from skolem_starters.modnt import is_prime
 from skolem_starters.starters import (
     Classification,
     classify,
@@ -361,6 +364,73 @@ def test_canonicalization_matches_the_oracle(data):
     assert negated.pairs == canonical_pairs(n, [(-a, -b) for a, b in s.pairs])
     assert negate_starter(negated) == s
     assert negate_starter(negated).pairs == s.pairs
+
+
+def _real_starter(n):
+    """A starter of Z_n: the qr recipe's for a prime n = 3 (mod 8),
+    else the patterned starter {x, -x}."""
+    if n % 8 == 3 and is_prime(n):
+        s = qr_starter(n)
+        return list(zip(s.lows, s.highs))
+    return [(x, n - x) for x in range(1, (n + 1) // 2)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_counting_sort_matches_the_oracle(data):
+    # Inputs large enough for from_pairs to sort by counting: a real
+    # starter of Z_n, 131 <= n <= 301, shuffled, members reversed and
+    # shifted by multiples of n, some pairs repeated, now and then a lo
+    # with a second hi (the fallback to the key set) or a malformed
+    # pair.  A list cut to just under n / 4 pairs takes the key set.
+    n = data.draw(st.integers(65, 150), label="k") * 2 + 1
+    base = data.draw(st.permutations(_real_starter(n)))
+    pairs = [
+        (b + i * n, a + j * n) if flip else (a + i * n, b + j * n)
+        for (a, b), flip, i, j in zip(
+            base,
+            data.draw(st.lists(st.booleans(), min_size=len(base), max_size=len(base))),
+            data.draw(st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base))),
+            data.draw(st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base))),
+        )
+    ]
+    for pr in data.draw(st.lists(st.sampled_from(pairs), max_size=8), label="repeats"):
+        pairs.insert(data.draw(st.integers(0, len(pairs))), pr)
+    if data.draw(st.booleans(), label="second hi"):
+        lo, hi = data.draw(st.sampled_from([(a, b) for a, b in base if a < n - 2]))
+        other = data.draw(st.integers(lo + 1, n - 2))
+        pairs.insert(data.draw(st.integers(0, len(pairs))), (lo, other + (other >= hi)))
+    if data.draw(st.integers(0, 9)) == 0:
+        bad = data.draw(st.sampled_from([(0, 5), (5, 5 + n), (-n, 7), (3, 3)]))
+        pairs.insert(data.draw(st.integers(0, len(pairs))), bad)
+    if n > 4 * 64 and data.draw(st.booleans(), label="set path"):
+        pairs = pairs[: data.draw(st.sampled_from([(n - 1) // 4, (n + 3) // 4]), label="cut")]
+    assert len(pairs) >= 64
+    try:
+        want = canonical_pairs(n, pairs)
+    except MalformedStarter:
+        with pytest.raises(MalformedStarter) as sized:
+            Starter.from_pairs(n, pairs)
+        with pytest.raises(MalformedStarter) as unsized:
+            Starter.from_pairs(n, iter(pairs))
+        assert str(sized.value) == str(unsized.value)
+        return
+    s = Starter.from_pairs(n, pairs)
+    assert s.pairs == want
+    assert all(type(x) is int for x in s.lows + s.highs)
+    t = Starter.from_pairs(n, iter(pairs))
+    assert (s.lows, s.highs) == (t.lows, t.highs)
+
+
+def test_a_huge_modulus_with_few_pairs_allocates_nothing_of_its_size():
+    # A sized input with n > 4 * len(pairs) takes the key set: no list
+    # of n slots, so this returns at once and not after gigabytes.
+    n = 10**12 + 1
+    start = time.perf_counter()
+    assert Starter.from_pairs(n, [(1, 2)]).pairs == ((1, 2),)
+    s = Starter.from_pairs(n, [(i, i + 1) for i in range(1, 200)])
+    assert time.perf_counter() - start < 0.5
+    assert s.lows == tuple(range(1, 200))
 
 
 # ---- JSON interchange ---------------------------------------------------------
