@@ -7,28 +7,36 @@ each kept x with beta*x, beta = 2 or the inverse of 2 (any
 non-residue for horton_starter).  One walk, _walk, visits each orbit
 x = c * r^e mod m from its least residue c and keeps the x with
 e mod delta < delta/2.  A recipe checks its hypotheses, picks m, r
-and delta, walks once and certifies the pairs (_certified):
+and delta, and ends in one call _certified(m, r, delta, recipe),
+which walks, records lambda and certifies the pairs:
 
   Z_p      qr, horton (r primitive, delta = 2) and cyclotomic
            (p = 2^k t + 1, delta = 2^k)
   Z_{p^n}  prime_power and prime_power_cyclotomic, r the lifted
            root: its orbits are the strata p^i * (units mod p^(n-i))
-  Z_{pq}   pq and pq_cyclotomic, r a common primitive root: its
-           orbits are p * (units mod q), q * (units mod p) and the
-           cosets of <r>; the second unit leader is lambda
+  Z_{pq}   pq and pq_cyclotomic, r the smallest common primitive
+           root: its orbits are p * (units mod q), q * (units mod p)
+           and the cosets of <r>; the second unit leader is lambda
 
 Doubling and negation both map the kept half of an orbit onto the
 other half when 2 and -1 lie in the half-shift class
-r^(delta/2) <r^delta>.  The hypotheses settle this mod p^n, and mod pq
-for all but 2 in pq_cyclotomic_starter, which is checked first.
-The coset certificates compute only what their hypotheses leave open:
-nothing for -1, the two discrete logs of 2 for check_two_in_coset.
+r^(delta/2) <r^delta>.  The hypotheses place them there mod p, and
+delta divides p - 1, so the class is fixed mod p and holds on every
+stratum of Z_{p^n}.  Mod pq, -1 always lies in the coset: its
+exponents (p-1)/2 = (delta/2) t1 mod p and (q-1)/2 = (delta/2) t2
+mod q, t1 and t2 odd, agree mod gcd(p-1, q-1) and are delta/2 mod
+delta.  2 is settled by the hypotheses of pq_starter and checked
+first by pq_cyclotomic_starter.  The coset certificates compute only
+what their hypotheses leave open: nothing for -1, the two discrete
+logs of 2 for check_two_in_coset.
 
 A modulus, or a coset certificate's prime, above _CONSTRUCTION_BOUND
 raises BoundExceeded before any arithmetic.  Hypothesis checks come
 next and raise HypothesisViolation; every successful construction is
-then self-verified with all four verifiers before it is returned, so
-an invalid object can never escape -- verification failure raises
+then self-verified before it is returned, so an invalid object can
+never escape: a doubling multiplier (2 or its inverse) must pass all
+four verifiers, and any other horton multiplier must give a strong
+starter.  A failure raises
 CoverageFailure with the witnesses.
 """
 
@@ -100,26 +108,27 @@ def _require(condition: bool, message: str) -> None:
 def normalize_beta(beta: int | str) -> int | str:
     """Canonicalize a multiplier argument to 2, "2inv", or a residue.
 
-    An int, a string of ASCII digits or "2inv"; every bool and float is
-    refused, so 2.0 fails as 3.0 does.
+    A plain int, a string of ASCII digits or "2inv"; every bool, other
+    int subclass and float is refused, so 2.0 fails as 3.0 does.
     """
     if beta == BETA_TWO_INVERSE:
         return BETA_TWO_INVERSE
     if isinstance(beta, str) and beta.isascii() and beta.isdigit():
         return int(beta)
-    if isinstance(beta, int) and not isinstance(beta, bool):
+    if type(beta) is int:
         return beta
     raise ValueError(f"unrecognized beta {beta!r}")
 
 
 def _require_bounded(p: int, q: int = 1, n: int = 1, *, each_prime: bool = False, **others: int) -> None:
     """First check of every recipe and certificate, before any arithmetic:
-    p, q, n and the others are ints, not bools, as normalize_beta asks of
-    beta (HypothesisViolation); the modulus (pq)^n, or with each_prime
-    both primes, is at most _CONSTRUCTION_BOUND (BoundExceeded), a huge n
-    refused before the power is built."""
+    p, q, n and the others are plain ints, not bools or other int
+    subclasses, as normalize_beta asks of beta (HypothesisViolation);
+    the modulus (pq)^n, or with each_prime both primes, is at most
+    _CONSTRUCTION_BOUND (BoundExceeded), a huge n refused before the
+    power is built."""
     for key, value in {"p": p, "q": q, "n": n, **others}.items():
-        _require(isinstance(value, int) and not isinstance(value, bool), f"{key} must be an int, got {value!r}")
+        _require(type(value) is int, f"{key} must be an int, got {value!r}")
     for m in (p, q) if each_prime else (p * q,):
         if n > _CONSTRUCTION_BOUND.bit_length() or n > 0 and m**n > _CONSTRUCTION_BOUND:
             shown = m if n == 1 else f"{m}^{n}"
@@ -213,48 +222,25 @@ def _in_half_shift(x: int, root: int, p: int, q: int, delta: int) -> bool:
     return (ep - eq) % math.gcd(p - 1, q - 1) == 0 and ep % delta == delta >> 1
 
 
-def _prime_power(p: int, n: int, root: int, delta: int, recipe: Recipe) -> Starter:
-    """The certified walk on Z_{p^n}, root generating the units mod p^n.
+def _certified(modulus: int, root: int, delta: int, recipe: Recipe) -> Starter:
+    """The walk of root on Z_modulus with the multiplier of recipe.beta,
+    canonicalized and self-verified.
 
-    Its orbits are the strata p^i * (units mod p^(n-i)), i < n.  A
-    stratum is covered by its own pairs and differences when 2 and -1
-    lie in the class root^(delta/2) <root^delta> of its unit group.
-    delta divides p - 1, so that class is fixed mod p, where the
-    recipe's hypotheses have already placed 2 and -1.
+    lambda is the first unit orbit leader after 1, the smallest unit
+    outside <root>: None mod p^n, whose units root generates.  The
+    result carries the recipe with that lambda and a fresh
+    classification.  A doubling multiplier, 2 or its inverse
+    (modulus+1)/2, must pass all four verifiers, any other (horton)
+    multiplier must give a strong starter; otherwise CoverageFailure
+    reports the witnesses.
     """
-    pairs, _ = _walk(p**n, root, delta, _beta_multiplier(recipe.beta, p**n))
-    return _certified(p**n, pairs, recipe)
-
-
-def _pq(p: int, q: int, root: int, delta: int, recipe: Recipe) -> Starter:
-    """The certified walk on Z_{pq} with root, the smallest common
-    primitive root r, which the recipe records with lambda.
-
-    The orbits of r are p * (units mod q), q * (units mod p) and the
-    cosets of <r> in the units.  They are covered when 2 and -1 lie in
-    the coset r^(delta/2) <r^delta>.  -1 always does: its exponents
-    (p-1)/2 = 2^(k-1) t1 and (q-1)/2 = 2^(k-1) t2 (delta = 2^k, t1 and
-    t2 odd) agree mod gcd(p-1, q-1) and are delta/2 mod delta.  For 2
-    that is the recipe's to settle.  lambda is the first unit leader
-    after 1, the smallest unit outside <r>.
-    """
-    modulus = p * q
-    pairs, leaders = _walk(modulus, root, delta, _beta_multiplier(recipe.beta, modulus))
-    lam = next(c for c in leaders[1:] if c % p and c % q)
-    return _certified(modulus, pairs, replace(recipe, lam=lam, root=root))
-
-
-def _certified(modulus: int, pairs: list, recipe: Recipe, *, all_four: bool = True) -> Starter:
-    """The pairs, canonicalized and self-verified.
-
-    The result carries the recipe and a fresh classification.  It must
-    pass all four verifiers (with all_four=False: starter and strong);
-    otherwise CoverageFailure reports the witnesses.
-    """
+    mult = _beta_multiplier(recipe.beta, modulus)
+    pairs, leaders = _walk(modulus, root, delta, mult)
+    recipe = replace(recipe, lam=next((c for c in leaders[1:] if math.gcd(c, modulus) == 1), None))
     s = Starter.from_pairs(modulus, pairs)
     cls = classify(s)
-    required = cls.all_four if all_four else (cls.is_starter and cls.is_strong)
-    if not required:
+    doubling = mult in (2, (modulus + 1) >> 1)
+    if not (cls.all_four if doubling else cls.is_starter and cls.is_strong):
         raise CoverageFailure(
             f"{recipe.method} construction with {recipe.to_dict()} failed "
             f"self-verification: {cls.witnesses}"
@@ -277,8 +263,7 @@ def horton_starter(p: int, beta: int | str) -> Starter:
     _require(in_half_class(beta_r, p, p - 1, 2), f"beta = {beta_r} is a quadratic residue mod {p}")
     _require(beta_r != p - 1, "beta = -1 is excluded")
     recipe = Recipe(method="horton", p=p, beta=beta if beta == BETA_TWO_INVERSE else beta_r)
-    pairs, _ = _walk(p, find_primitive_root(p), 2, beta_r)
-    return _certified(p, pairs, recipe, all_four=False)
+    return _certified(p, find_primitive_root(p), 2, recipe)
 
 
 def qr_starter(p: int, beta: int | str = BETA_TWO) -> Starter:
@@ -292,7 +277,7 @@ def qr_starter(p: int, beta: int | str = BETA_TWO) -> Starter:
     _require_bounded(p)
     _require_qr_prime(p)
     beta = _doubling_beta(beta)
-    return _prime_power(p, 1, find_primitive_root(p), 2, Recipe(method="qr", p=p, beta=beta))
+    return _certified(p, find_primitive_root(p), 2, Recipe(method="qr", p=p, beta=beta))
 
 
 def cyclotomic_starter(p: int, k: int, beta: int | str = BETA_TWO) -> Starter:
@@ -309,7 +294,7 @@ def cyclotomic_starter(p: int, k: int, beta: int | str = BETA_TWO) -> Starter:
     beta = _doubling_beta(beta)
     root = find_primitive_root(p)
     recipe = Recipe(method="cyclotomic", p=p, k=k, beta=beta, root=root)
-    return _prime_power(p, 1, root, 1 << k, recipe)
+    return _certified(p, root, 1 << k, recipe)
 
 
 def prime_power_starter(p: int, n: int, beta: int | str = BETA_TWO) -> Starter:
@@ -327,7 +312,7 @@ def prime_power_starter(p: int, n: int, beta: int | str = BETA_TWO) -> Starter:
     beta = _doubling_beta(beta)
     root = lift_primitive_root(find_primitive_root(p), p, n)
     recipe = Recipe(method="prime_power", p=p, n=n, beta=beta, root=root)
-    return _prime_power(p, n, root, 2, recipe)
+    return _certified(p**n, root, 2, recipe)
 
 
 def prime_power_cyclotomic_starter(
@@ -344,14 +329,15 @@ def prime_power_cyclotomic_starter(
     beta = _doubling_beta(beta)
     root = lift_primitive_root(find_primitive_root(p), p, n)
     recipe = Recipe(method="prime_power_cyclotomic", p=p, k=k, n=n, beta=beta, root=root)
-    return _prime_power(p, n, root, 1 << k, recipe)
+    return _certified(p**n, root, 1 << k, recipe)
 
 
 def pq_starter(p: int, q: int, beta: int | str = BETA_TWO) -> Starter:
     """Strong Skolem starter for Z_{pq}, p, q = 3 (mod 8), p < q.
 
-    The walk of a common primitive root r with delta = 2 (see _pq)
-    keeps p * QR(q), q * QR(p), <r^2> and lambda <r^2>.  The units hold
+    The walk of the smallest common primitive root r with delta = 2
+    keeps p * QR(q), q * QR(p), <r^2> and lambda <r^2>, and -1 lies in
+    r <r^2> (see the module docstring).  The units hold
     gcd(p-1, q-1) cosets of <r> and the recipe is stated for two, so
     pairs that pass the congruence hypotheses with a larger gcd raise
     CoverageFailure.  With gcd 2, 2 lies in the coset r <r^2> with no
@@ -369,17 +355,20 @@ def pq_starter(p: int, q: int, beta: int | str = BETA_TWO) -> Starter:
             f"gcd(p-1, q-1) = {g}: the four cosets of <r^2> span only "
             f"{2 * (p - 1) * (q - 1) // g} of the {(p - 1) * (q - 1)} units mod {p * q}"
         )
-    return _pq(p, q, find_common_primitive_root(p, q), 2, Recipe(method="pq", p=p, q=q, beta=beta))
+    root = find_common_primitive_root(p, q)
+    return _certified(p * q, root, 2, Recipe(method="pq", p=p, q=q, beta=beta, root=root))
 
 
 def pq_cyclotomic_starter(p: int, q: int, k: int, beta: int | str = BETA_TWO) -> Starter:
     """Strong Skolem starter for Z_{pq}, p = 2^k t1 + 1, q = 2^k t2 + 1.
 
-    The walk of a common primitive root r with delta = 2^k (see _pq):
+    The walk of the smallest common primitive root r with delta = 2^k:
     the multiples of p and of q are covered like in cyclotomic_starter,
     mod q and mod p, and the units by the low half of every coset of
-    <r>.  The smallest unit outside <r> is recorded as lambda.  2 may
-    miss the coset mod pq: its two discrete logs decide (_in_half_shift).
+    <r>.  The smallest unit outside <r> is recorded as lambda.  -1
+    lies in the coset r^(delta/2) <r^delta> mod pq, its exponents
+    agreeing mod gcd(p-1, q-1) (see the module docstring); 2 may miss
+    it: its two discrete logs decide (_in_half_shift).
     """
     _require_bounded(p, q, k=k)
     _cyclotomic_prime(p, k, "p")
@@ -389,7 +378,8 @@ def pq_cyclotomic_starter(p: int, q: int, k: int, beta: int | str = BETA_TWO) ->
     root, delta = find_common_primitive_root(p, q), 1 << k
     if not _in_half_shift(2, root, p, q, delta):
         raise CoverageFailure(f"2 is not in the coset r^{delta >> 1} <r^{delta}> mod {p * q}")
-    return _pq(p, q, root, delta, Recipe(method="pq_cyclotomic", p=p, q=q, k=k, beta=beta))
+    recipe = Recipe(method="pq_cyclotomic", p=p, q=q, k=k, beta=beta, root=root)
+    return _certified(p * q, root, delta, recipe)
 
 
 def check_minus_one_coset(p: int, q: int, k: int, r: int) -> bool:

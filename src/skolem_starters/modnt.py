@@ -122,10 +122,11 @@ def _root_exponents(p: int) -> tuple[int, ...]:
     """The exponents (p - 1)/f, f a prime factor of p - 1, of the odd prime p.
 
     r mod p is a primitive root exactly when r^e != 1 for each of them.
-    A bool or non-int p is refused with InvalidModulus before the cache
-    is consulted: 281.0 and True would otherwise hash like 281 and 1.
+    A p that is not a plain int (a bool, another int subclass, a float)
+    is refused with InvalidModulus before the cache is consulted: 281.0
+    and True would otherwise hash like 281 and 1.
     """
-    if not isinstance(p, int) or isinstance(p, bool):
+    if type(p) is not int:
         raise InvalidModulus(f"{p!r} is not an odd prime")
     return _odd_prime_exponents(p)
 

@@ -54,10 +54,11 @@ def _require_scan_bound(candidates: int, what: str) -> None:
 
 
 def _require_ints(**values: Any) -> None:
-    """First check of every scan and search: refuse a bool or non-int
-    integer argument, naming it, before any sieve, test or recursion."""
+    """First check of every scan and search: refuse an integer argument
+    that is not a plain int (a bool, another int subclass, a float),
+    naming it, before any sieve, test or recursion."""
     for name, value in values.items():
-        if not isinstance(value, int) or isinstance(value, bool):
+        if type(value) is not int:
             raise ValueError(f"{name} must be an int, got {value!r}")
 
 

@@ -89,7 +89,8 @@ class Starter:
     def from_pairs(cls, modulus: int, pairs: Iterable[tuple[int, int] | Pair]) -> "Starter":
         """Reduce each pair mod n, order it lo < hi, drop repeats, sort.
 
-        The modulus and every pair member must be an int (bool is not);
+        The modulus and every pair member must be a plain int (a bool
+        or other int subclass is not);
         pairs must be iterable, every pair of exactly two members.
 
         A sized input of at least _COUNTING_MIN_PAIRS pairs with

@@ -540,16 +540,46 @@ _INTEGER_CALLS = (
 )
 
 
+class _Int(int):
+    pass
+
+
 def test_every_recipe_refuses_a_bool_or_float_integer_parameter(monkeypatch):
-    # The rule normalize_beta applies to beta: True == 1 and 2.0 == 2, yet
-    # both are refused, before any primality test, root or log.
+    # The rule normalize_beta and Starter.from_pairs apply: True == 1,
+    # 2.0 == 2 and _Int(11) == 11, yet all are refused, before any
+    # primality test, root or log.
     for name in ("is_prime", "is_primitive_root", "find_primitive_root", "discrete_log", "in_half_class"):
         monkeypatch.setattr(constructions, name, None)
     for build, args in _INTEGER_CALLS:
         for i in range(len(args)):
-            for bad in (True, 2.0):
+            for bad in (True, 2.0, _Int(args[i])):
                 with pytest.raises(HypothesisViolation, match="must be an int"):
                     build(*args[:i], bad, *args[i + 1 :])
+
+
+def test_a_walk_that_fails_its_verdicts_is_refused(monkeypatch):
+    # Swapping the highs of the first two pairs keeps a pairing of the
+    # walked elements but breaks its differences: every recipe certifies
+    # its walk and refuses that instead of returning it.
+    walk = constructions._walk
+
+    def swapped(*args):
+        pairs, leaders = walk(*args)
+        (a, b), (c, d), *rest = pairs
+        return [(a, d), (c, b), *rest], leaders
+
+    monkeypatch.setattr(constructions, "_walk", swapped)
+    for build, args, method in (
+        (qr_starter, (19,), "qr"),
+        (pq_starter, (11, 19), "pq"),
+        (horton_starter, (7, 3), "horton"),
+    ):
+        with pytest.raises(CoverageFailure, match=f"^{method} construction with .* failed self-verification: "):
+            build(*args)
+    monkeypatch.undo()
+    # A non-doubling horton beta need only give a strong starter.
+    cls = horton_starter(7, 3).classification
+    assert cls.is_starter and cls.is_strong and not cls.is_skolem
 
 
 def test_coset_certificate_bound(monkeypatch):

@@ -168,14 +168,19 @@ _INTEGER_CALLS = (
 )
 
 
+class _Int(int):
+    pass
+
+
 def test_every_scan_and_search_refuses_a_bool_or_float_integer_argument(monkeypatch):
-    # The rule the recipes keep: True == 1 and 60.0 == 60, yet both are
-    # refused by name, before any sieve, primality test, root or recursion.
+    # The rule the recipes keep: True == 1, 60.0 == 60 and _Int(60) == 60,
+    # yet all are refused by name, before any sieve, primality test, root
+    # or recursion.
     for name in ("_primes_upto", "is_prime", "is_primitive_root", "find_primitive_root", "multiplicative_order"):
         monkeypatch.setattr(search, name, None)
     for call, kwargs in _INTEGER_CALLS:
         for name, value in kwargs.items():
-            for bad in (True, float(value)):
+            for bad in (True, float(value), _Int(value)):
                 with pytest.raises(ValueError, match=f"^{name} must be an int, got {bad!r}$"):
                     call(**{**kwargs, name: bad})
 
