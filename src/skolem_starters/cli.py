@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("construct", help="build a starter from a named recipe")
     c.add_argument("--method", required=True, choices=sorted(_METHODS))
-    c.add_argument("--p", type=int, required=True)
+    c.add_argument("--p", type=int)
     c.add_argument("--q", type=int)
     c.add_argument("--n", type=int)
     c.add_argument("--k", type=int)

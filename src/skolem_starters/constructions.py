@@ -43,7 +43,7 @@ CoverageFailure with the witnesses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any
 
 from .modnt import (
@@ -88,16 +88,12 @@ class Recipe:
     root: int | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "method": self.method,
-            "p": self.p,
-            "q": self.q,
-            "n": self.n,
-            "k": self.k,
-            "beta": self.beta,
-            "lambda": self.lam,
-            "root": self.root,
-        }
+        return {key: getattr(self, name) for key, name in _RECIPE_KEYS}
+
+
+# The JSON key of each Recipe field, in field order; "lambda" is a Python
+# keyword.  Read once: fields() on every to_dict would triple its cost.
+_RECIPE_KEYS = tuple(("lambda" if f.name == "lam" else f.name, f.name) for f in fields(Recipe))
 
 
 def _require(condition: bool, message: str) -> None:
@@ -310,7 +306,7 @@ def prime_power_starter(p: int, n: int, beta: int | str = BETA_TWO) -> Starter:
     _require_qr_prime(p)
     _require(n >= 1, f"n must be >= 1, got {n}")
     beta = _doubling_beta(beta)
-    root = lift_primitive_root(find_primitive_root(p), p, n)
+    root = lift_primitive_root(p, n)
     recipe = Recipe(method="prime_power", p=p, n=n, beta=beta, root=root)
     return _certified(p**n, root, 2, recipe)
 
@@ -327,7 +323,7 @@ def prime_power_cyclotomic_starter(
     _cyclotomic_prime(p, k)
     _require(n >= 1, f"n must be >= 1, got {n}")
     beta = _doubling_beta(beta)
-    root = lift_primitive_root(find_primitive_root(p), p, n)
+    root = lift_primitive_root(p, n)
     recipe = Recipe(method="prime_power_cyclotomic", p=p, k=k, n=n, beta=beta, root=root)
     return _certified(p**n, root, 1 << k, recipe)
 

@@ -30,10 +30,6 @@ class InvalidModulus(ValueError):
     """Modulus violates a precondition (parity, primality, shape)."""
 
 
-class NotPrimitiveRoot(ValueError):
-    """Claimed generator does not generate the unit group."""
-
-
 class NotInSubgroup(ValueError):
     """Element lies outside the cyclic subgroup being searched."""
 
@@ -154,20 +150,19 @@ def find_primitive_root(p: int) -> int:
     return next(r for r in range(2, p) if is_primitive_root(r, p))
 
 
-def lift_primitive_root(r: int, p: int, n: int) -> int:
-    """Adjust a primitive root of Z_p^* so it generates the units mod p^n.
+def lift_primitive_root(p: int, n: int) -> int:
+    """A generator of the units mod p^n, from the smallest root r of Z_p^*.
 
-    A root of Z_p^* already generates the unit group of every p^n
-    unless r^(p-1) = 1 (mod p^2); in that single bad case r + p does.
-    For n = 1 the root is returned unchanged.
+    r generates the unit group of every p^n unless r^(p-1) = 1
+    (mod p^2); in that single bad case r + p does, and is returned for
+    every n >= 2 (the least such p is 40487).  For n = 1, r itself is
+    returned.  A p that is not an odd prime raises InvalidModulus
+    before an n < 1 raises ValueError.
     """
+    r = find_primitive_root(p)
     if n < 1:
         raise ValueError(f"exponent must be >= 1, got {n}")
-    if not is_primitive_root(r, p):
-        raise NotPrimitiveRoot(f"{r} does not generate the units mod {p}")
-    if n == 1:
-        return r
-    if pow(r, p - 1, p * p) != 1:
+    if n == 1 or pow(r, p - 1, p * p) != 1:
         return r
     return r + p
 
@@ -246,5 +241,5 @@ class GroupContext:
 
     @classmethod
     def for_prime_power(cls, p: int, n: int) -> "GroupContext":
-        root = lift_primitive_root(find_primitive_root(p), p, n)
+        root = lift_primitive_root(p, n)
         return cls(p**n, "prime_power", root, (p, n))

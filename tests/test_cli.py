@@ -106,6 +106,18 @@ def test_construct_missing_parameter_exits_2(capsys):
     assert "--q" in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("--method", "qr", "--json"), "error: --method qr requires --p\n"),
+        (("--method", "pq", "--q", "19"), "error: --method pq requires --p\n"),
+    ],
+)
+def test_construct_missing_p_is_refused_by_name(capsys, argv, message):
+    # _METHODS alone says which flags a method needs, --p included.
+    assert run(capsys, "construct", *argv) == (2, "", message)
+
+
 def test_construct_human_mode_orders_by_difference(capsys):
     code, out, _ = run(capsys, "construct", "--method", "qr", "--p", "11")
     assert code == 0

@@ -26,7 +26,6 @@ from skolem_starters.modnt import (
     multiplicative_order,
     NotAUnit,
     NotInSubgroup,
-    NotPrimitiveRoot,
 )
 from oracles import naive_coset, naive_dlog, naive_order, squares_set, trial_division_prime
 
@@ -133,23 +132,43 @@ def test_find_primitive_root_rejects_non_prime():
 
 
 def test_lift_primitive_root_examples():
-    assert lift_primitive_root(2, 11, 2) == 2  # 2^10 = 56 != 1 mod 121
-    assert lift_primitive_root(2, 11, 1) == 2
-    assert lift_primitive_root(2, 19, 1) == 2
+    assert lift_primitive_root(11, 2) == 2  # 2^10 = 56 != 1 mod 121
+    assert lift_primitive_root(11, 1) == 2
+    assert lift_primitive_root(19, 1) == 2
     # frozen from an independent big-int evaluation: 6^40 mod 1681 = 124
     assert pow(6, 40, 41 * 41) == 124
-    assert lift_primitive_root(6, 41, 3) == 6
+    assert lift_primitive_root(41, 3) == 6
 
 
-def test_lift_primitive_root_rejects_non_generator():
-    with pytest.raises(NotPrimitiveRoot):
-        lift_primitive_root(3, 11, 2)  # ord(3) mod 11 = 5
+def test_lift_primitive_root_adds_p_when_the_root_does_not_lift():
+    # 40487 is the least prime whose smallest root, 5, has 5^(p-1) = 1
+    # (mod p^2); 5 + p generates the units mod p^2 and p^3, 5 does not.
+    # Checked here with pow alone: g generates the units mod m exactly
+    # when g^(phi/f) != 1 for each prime f of phi = p^(n-1) (p - 1).
+    p = 40487
+    assert p - 1 == 2 * 31 * 653 and all(map(trial_division_prime, (p, 31, 653)))
+    assert all(pow(5, (p - 1) // f, p) != 1 for f in (2, 31, 653))
+    assert pow(5, p - 1, p * p) == 1
+    for n in (2, 3):
+        m, phi = p**n, p ** (n - 1) * (p - 1)
+        assert all(pow(p + 5, phi // f, m) != 1 for f in (2, 31, 653, p)), n
+        assert not all(pow(5, phi // f, m) != 1 for f in (2, 31, 653, p)), n
+    assert lift_primitive_root(p, 1) == 5
+    assert lift_primitive_root(p, 2) == lift_primitive_root(p, 3) == p + 5 == 40492
+
+
+def test_lift_primitive_root_refuses_an_exponent_below_1():
+    with pytest.raises(ValueError, match="exponent must be >= 1, got 0"):
+        lift_primitive_root(11, 0)
+    # The prime is checked first.
+    with pytest.raises(InvalidModulus):
+        lift_primitive_root(121, 0)
 
 
 @pytest.mark.parametrize("p", [p for p in range(3, 101) if trial_division_prime(p)])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_lift_primitive_root_order_is_group_order(p, n):
-    g = lift_primitive_root(find_primitive_root(p), p, n)
+    g = lift_primitive_root(p, n)
     m = p**n
     assert naive_order(g % m, m) == p ** (n - 1) * (p - 1)
 
@@ -157,7 +176,7 @@ def test_lift_primitive_root_order_is_group_order(p, n):
 # ---- quadratic residues: in_half_class with delta = 2 (Euler's criterion) ---
 
 
-def test_euler_class_examples():
+def test_in_half_class_with_delta_2_marks_the_non_residues():
     assert not in_half_class(1, 19, 18, 2)
     assert in_half_class(2, 19, 18, 2)
     assert in_half_class(10, 19, 18, 2)
@@ -217,12 +236,11 @@ def test_discrete_log_full_sweep_vs_naive(m, r):
 # ---- cyclotomic classes ----------------------------------------------------
 
 
-def test_cyclotomic_structure_validation():
+def test_cyclotomic_recipes_refuse_a_bad_shape():
     # 281 = 2^3 * 35 + 1: the shape and root the cyclotomic recipes build on.
     p, delta = 281, 8
     assert (((p - 1) & (1 - p)), (p - 1) // delta, find_primitive_root(p)) == (8, 35, 3)
-    with pytest.raises(NotPrimitiveRoot):
-        lift_primitive_root(2, p, 1)  # ord(2) = 70
+    assert not is_primitive_root(2, p)  # ord(2) = 70
     # The shapes refused by cyclotomic_starter are refused by the Z_{p^n}
     # and Z_{pq} recipes too.
     for bad, k in [(17, 4), (97, 3), (91, 3)]:  # t = 1, t = 12 even, not prime
@@ -232,7 +250,7 @@ def test_cyclotomic_structure_validation():
             pq_cyclotomic_starter(bad, 617, k)
 
 
-def test_cyclotomic_structure_refuses_huge_k():
+def test_cyclotomic_recipes_refuse_a_huge_k():
     # Refused from the 2-adic valuation of p - 1, before 2^k is built.
     with pytest.raises(HypothesisViolation):
         prime_power_cyclotomic_starter(281, 10**20, 2)
@@ -280,7 +298,7 @@ def test_in_half_class_matches_discrete_log_index(n):
             continue
         m = p**n
         order = m // p * (p - 1)
-        root = lift_primitive_root(find_primitive_root(p), p, n)
+        root = lift_primitive_root(p, n)
         valuation = ((p - 1) & (1 - p)).bit_length() - 1
         for x in (2, m - 1, 3, 5, root, m - 2):
             if x % p == 0:
@@ -294,7 +312,7 @@ def test_in_half_class_matches_discrete_log_index(n):
 # ---- cyclic cosets: the orbits of the constructions' walk ------------------
 
 
-def test_cyclic_coset_examples():
+def test_walk_examples():
     # Mod 11, <4> = {1, 3, 4, 5, 9} = QR(11) and 2<4> are the two orbits of
     # x -> 4x, walked 1, 4, 5, 9, 3 and 2, 8, 10, 7, 6; even steps are kept.
     assert _walk(11, 4, 2, 2) == ([(1, 2), (5, 10), (3, 6), (2, 4), (10, 9), (6, 1)], [1, 2])
@@ -313,7 +331,7 @@ def test_cyclic_coset_examples():
     g=st.integers(min_value=1, max_value=10**4),
     mult=st.integers(min_value=1, max_value=10**4),
 )
-def test_cyclic_coset_size_and_membership(m, g, mult):
+def test_walk_orbits_tile_the_residues_and_keep_every_other_step(m, g, mult):
     g %= m
     if g == 0 or math.gcd(g, m) != 1:
         g = 2 if math.gcd(2, m) == 1 else 3
