@@ -27,8 +27,9 @@ exponents (p-1)/2 = (delta/2) t1 mod p and (q-1)/2 = (delta/2) t2
 mod q, t1 and t2 odd, agree mod gcd(p-1, q-1) and are delta/2 mod
 delta.  2 is settled by the hypotheses of pq_starter and checked
 first by pq_cyclotomic_starter.  The coset certificates compute only
-what their hypotheses leave open: nothing for -1, the two discrete
-logs of 2 for check_two_in_coset.
+what their hypotheses leave open: nothing for -1, and for
+check_two_in_coset the logs of 2 mod p and mod q, each taken in the
+subgroup of order gcd(p-1, q-1).
 
 A modulus, or a coset certificate's prime, above _CONSTRUCTION_BOUND
 raises BoundExceeded before any arithmetic.  Hypothesis checks come
@@ -210,12 +211,17 @@ def _in_half_shift(x: int, root: int, p: int, q: int, delta: int) -> bool:
     root a common primitive root of p and q and delta dividing p-1 and
     q-1.
 
-    Two discrete logs give x = root^ep mod p and root^eq mod q.  Then x
-    is root^e for an e = ep (mod p-1), eq (mod q-1), which exists
-    exactly when ep = eq (mod gcd(p-1, q-1)), and e = ep (mod delta).
+    Write x = root^ep mod p and root^eq mod q.  Then x is root^e for an
+    e = ep (mod p-1), eq (mod q-1), which exists exactly when
+    ep = eq (mod g), g = gcd(p-1, q-1), and e = ep (mod delta).  Only
+    ep and eq mod g are needed, as delta divides g, and each is a log
+    in the subgroup of order g (Pohlig-Hellman): with c = (p-1)/g,
+    x^c = (root^c)^ep mod p, root^c of order g.  So each baby-step/
+    giant-step run takes about sqrt(g) steps, not sqrt(p-1).
     """
-    ep, eq = discrete_log(x, root, p, p - 1), discrete_log(x, root, q, q - 1)
-    return (ep - eq) % math.gcd(p - 1, q - 1) == 0 and ep % delta == delta >> 1
+    g = math.gcd(p - 1, q - 1)
+    ep, eq = (discrete_log(pow(x, (m - 1) // g, m), pow(root, (m - 1) // g, m), m, g) for m in (p, q))
+    return ep == eq and ep % delta == delta >> 1
 
 
 def _certified(modulus: int, root: int, delta: int, recipe: Recipe) -> Starter:
@@ -364,7 +370,8 @@ def pq_cyclotomic_starter(p: int, q: int, k: int, beta: int | str = BETA_TWO) ->
     <r>.  The smallest unit outside <r> is recorded as lambda.  -1
     lies in the coset r^(delta/2) <r^delta> mod pq, its exponents
     agreeing mod gcd(p-1, q-1) (see the module docstring); 2 may miss
-    it: its two discrete logs decide (_in_half_shift).
+    it: its logs mod p and mod q, taken in the subgroup of order
+    gcd(p-1, q-1), decide (_in_half_shift).
     """
     _require_bounded(p, q, k=k)
     _cyclotomic_prime(p, k, "p")
@@ -412,8 +419,8 @@ def check_two_in_coset(p: int, q: int, k: int, r: int) -> bool:
     divides p - 1 and q - 1 (t even is allowed), r is a common
     primitive root, and 2 lies in the class r^(2^(k-1)) <r^(2^k)> both
     mod p and mod q.  The conclusion -- 2 lies in that coset mod pq --
-    is then decided by the congruence of its two discrete logs
-    (_in_half_shift).
+    is then decided by the congruence of its logs mod p and mod q,
+    each taken in the subgroup of order gcd(p-1, q-1) (_in_half_shift).
     """
     _require_bounded(p, q, k=k, r=r, each_prime=True)
     _require(p != q, f"p and q must be distinct, got {p} twice")

@@ -5,6 +5,23 @@ prime powers, the root-free half-class test (with delta = 2 it is
 Euler's criterion for a non-residue), the Chinese-remainder map of a
 pair of residues, and a baby-step/giant-step discrete log.
 
+Primality is trial division by the first 12 primes, then Miller-Rabin
+with the first few of them as bases, as many as the size of m needs:
+the least strong pseudoprime to all the primes up to b is known for
+each b (Jaeschke 1993; Sorenson and Webster 2015), and an m below it
+needs no more bases.
+
+  m below                     bases
+  2 047                       2
+  1 373 653                   2, 3
+  25 326 001                  2, 3, 5
+  3 215 031 751               2..7
+  2 152 302 898 747           2..11
+  3 474 749 660 383           2..13
+  341 550 071 728 321         2..17
+  3 825 123 056 546 413 051   2..23
+  2^64                        all 12, 2..37
+
 Residues are canonical representatives in 1..m-1 (0 is never a unit).
 Everything is computed on plain Python ints, so intermediate products
 cannot overflow; moduli up to 2^63 - 1 are accepted, although the
@@ -39,9 +56,28 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _LIMIT_64 = 1 << 64
 
+# (bound, b): the first b of _MR_BASES decide every m below bound, the
+# least strong pseudoprime to all b of them (see the module docstring).
+_MR_TIERS = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (_LIMIT_64, 12),
+)
+
 
 def is_prime(m: int) -> bool:
-    """Deterministic primality test, exact for the full 64-bit range."""
+    """Deterministic primality test, exact for the full 64-bit range.
+
+    Trial division by the 12 bases, then Miller-Rabin with the first b
+    of them for the least tier bound above m (the module docstring's
+    table, from Jaeschke 1993 and Sorenson and Webster 2015).
+    """
     if m >= _LIMIT_64:
         raise ValueError(f"primality is only guaranteed below 2^64, got {m}")
     if m < 2:
@@ -54,7 +90,8 @@ def is_prime(m: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    bases = next(b for bound, b in _MR_TIERS if m < bound)
+    for a in _MR_BASES[:bases]:
         x = pow(a, d, m)
         if x == 1 or x == m - 1:
             continue

@@ -128,7 +128,9 @@ def _cyclotomic_primes(k: int, limit: int) -> list[int]:
     # p = 2^k t + 1 with t odd >= 3.
     _require_scan_bound(limit >> (k + 1), f"cyclotomic-primes up to {limit}")
     delta = 1 << k
-    return [p for p in range(3 << k | 1, limit + 1, 2 << k) if is_prime(p) and in_half_class(2, p, p - 1, delta)]
+    # The one-pow class test first: it refuses most terms before the
+    # costlier primality test, and both are free of side effects.
+    return [p for p in range(3 << k | 1, limit + 1, 2 << k) if in_half_class(2, p, p - 1, delta) and is_prime(p)]
 
 
 def scan_cyclotomic_primes(k: int, limit: int) -> ScanReport:
@@ -159,6 +161,10 @@ def find_common_primitive_root(p: int, q: int) -> int:
     return next(r for r in range(2, p * q) if is_primitive_root(r, p) and is_primitive_root(r, q))
 
 
+# The candidate roots 2..63 of one scan_pq_pairs mask.
+_MASK_ROOTS = 64
+
+
 def scan_pq_pairs(limit: int, mode: str = "qr", k: int | None = None) -> ScanReport:
     """Prime pairs p < q <= limit admissible for the two-prime recipes.
 
@@ -169,6 +175,12 @@ def scan_pq_pairs(limit: int, mode: str = "qr", k: int | None = None) -> ScanRep
     (p-1) to not divide (q-1); hits carry the smallest common
     primitive root and gcd(p-1, q-1), which the plain two-prime
     recipe needs to be 2.
+
+    Each base prime p gets one mask, bit r set for each r in
+    2.._MASK_ROOTS - 1 that is a primitive root mod p (r >= p is taken
+    mod p), so a pair's smallest common root is the lowest bit of the
+    AND of its two masks.  When that AND is empty, which few pairs meet,
+    find_common_primitive_root searches from 2 again.
     """
     if mode == "qr":
         if k is not None:
@@ -183,21 +195,21 @@ def scan_pq_pairs(limit: int, mode: str = "qr", k: int | None = None) -> ScanRep
     else:
         raise ValueError(f"unknown mode {mode!r}")
     _require_scan_bound(len(base) * (len(base) - 1) // 2, f"{kind} up to {limit}")
+    masks = [sum(1 << r for r in range(2, _MASK_ROOTS) if is_primitive_root(r, p)) for p in base]
     hits = []
-    for i, p in enumerate(base):
-        for q in base[i + 1 :]:
+    for i, (p, mask_p) in enumerate(zip(base, masks)):
+        for q, mask_q in zip(base[i + 1 :], masks[i + 1 :]):
             if (q - 1) % (p - 1) == 0:
                 continue
             params = {"p": p, "q": q}
             if mode == "cyclotomic":
                 params["k"] = k
+            common = mask_p & mask_q
+            root = (common & -common).bit_length() - 1 if common else find_common_primitive_root(p, q)
             hits.append(
                 ScanHit(
                     params=params,
-                    certificates={
-                        "common_root": find_common_primitive_root(p, q),
-                        "gcd_p1_q1": math.gcd(p - 1, q - 1),
-                    },
+                    certificates={"common_root": root, "gcd_p1_q1": math.gcd(p - 1, q - 1)},
                 )
             )
     return ScanReport(kind=kind, bound=limit, hits=tuple(hits))

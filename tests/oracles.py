@@ -39,6 +39,45 @@ def trial_division_prime(n: int) -> bool:
     return all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
+# The 12 bases that decide every m < 2^64 (see full_miller_rabin).
+FULL_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def full_miller_rabin(m: int) -> bool:
+    """Trial division by FULL_MR_BASES, then Miller-Rabin with all 12 of
+    them whatever the size of m: the reference the size-tiered
+    modnt.is_prime must match below 2^64."""
+    if m < 2:
+        return False
+    for a in FULL_MR_BASES:
+        if m % a == 0:
+            return m == a
+    d, r = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in FULL_MR_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def full_group_in_half_shift(x: int, r: int, p: int, q: int, delta: int) -> bool:
+    """x lies in the coset r^(delta/2) <r^delta> mod pq, r a common
+    primitive root of p and q: the logs of x in the full groups mod p
+    and mod q, by successive powers, agree mod gcd(p-1, q-1) and the
+    one mod p is delta/2 mod delta."""
+    ep, eq = naive_dlog(x, r, p), naive_dlog(x, r, q)
+    return (ep - eq) % math.gcd(p - 1, q - 1) == 0 and ep % delta == delta >> 1
+
+
 def squares_set(p: int) -> set[int]:
     return {pow(i, 2, p) for i in range(1, p)}
 

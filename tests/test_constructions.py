@@ -37,7 +37,7 @@ from skolem_starters.starters import (
     Starter,
     starter_to_json,
 )
-from oracles import naive_coset, naive_dlog, naive_order, squares_set, trial_division_prime
+from oracles import full_group_in_half_shift, naive_coset, naive_dlog, naive_order, squares_set, trial_division_prime
 
 from test_json_golden import _grid_calls, DIGESTS
 from test_starters import Z19_PAIRS, Z11_PAIRS
@@ -427,6 +427,28 @@ def test_in_half_shift_matches_the_walk_of_the_common_root():
                 checked[delta] += 1
     assert checked[2] == len(primes) * (len(primes) - 1) // 2
     assert checked[4] and checked[8]
+
+
+def test_projected_logs_match_the_full_group_logs():
+    # The logs mod p and mod q are taken in the subgroup of order
+    # gcd(p-1, q-1); the oracle takes them in the full groups, by
+    # successive powers.  Every pair of cyclotomic primes below 3000 for
+    # k = 3 and 4, and x in {2, -1, 3, 5, 7}, each a unit mod pq here.
+    checked = Counter()
+    for k in (3, 4):
+        primes = [hit.params["p"] for hit in scan_cyclotomic_primes(k, 3000).hits]
+        for i, p in enumerate(primes):
+            for q in primes[i + 1 :]:
+                r, delta = find_common_primitive_root(p, q), 1 << k
+                for x in (2, -1, 3, 5, 7):
+                    x %= p * q
+                    assert x % p and x % q
+                    expected = full_group_in_half_shift(x, r, p, q, delta)
+                    assert _in_half_shift(x, r, p, q, delta) == expected, (p, q, k, x)
+                    checked[k, expected] += 1
+                assert check_two_in_coset(p, q, k, r) == full_group_in_half_shift(2, r, p, q, delta), (p, q, k)
+    # Both verdicts occur at both k.
+    assert set(checked) == {(3, True), (3, False), (4, True), (4, False)}, checked
 
 
 def test_two_in_coset_accepts_even_t():

@@ -27,7 +27,7 @@ from skolem_starters.modnt import (
     NotAUnit,
     NotInSubgroup,
 )
-from oracles import naive_coset, naive_dlog, naive_order, squares_set, trial_division_prime
+from oracles import full_miller_rabin, naive_coset, naive_dlog, naive_order, squares_set, trial_division_prime
 
 
 # ---- is_prime --------------------------------------------------------------
@@ -46,12 +46,64 @@ def test_is_prime_agrees_with_trial_division_below_3000():
 
 
 def test_is_prime_on_strong_pseudoprimes():
-    # Composites that fool small Miller-Rabin witness sets.
+    # Composites that fool small Miller-Rabin witness sets: the least
+    # strong pseudoprime to the bases of each tier of is_prime, which is
+    # the bound where the next tier starts.
+    assert not is_prime(2047)  # pseudoprime to base 2
+    assert not is_prime(1373653)  # pseudoprime to bases 2, 3
+    assert not is_prime(25326001)  # pseudoprime to bases 2, 3, 5
     assert not is_prime(3215031751)  # pseudoprime to bases 2, 3, 5, 7
+    assert not is_prime(2152302898747)  # pseudoprime to all bases <= 11
+    assert not is_prime(3474749660383)  # pseudoprime to all bases <= 13
+    assert not is_prime(341550071728321)  # pseudoprime to all bases <= 17
     assert not is_prime(3825123056546413051)  # pseudoprime to all bases <= 23
     assert is_prime((1 << 61) - 1)
     with pytest.raises(ValueError):
         is_prime(1 << 64)
+
+
+# Where is_prime moves to one more Miller-Rabin base, below 2^64.
+_MR_TIER_BOUNDS = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    3825123056546413051,
+)
+
+
+def _prime_from(n, step):
+    """The first prime met walking from n by step, +1 or -1."""
+    while not full_miller_rabin(n):
+        n += step
+    return n
+
+
+def _semiprime_near(bound, p, above):
+    """p' * q for the prime p' <= p and the nearest prime q with
+    p' * q above bound, or at most bound."""
+    p = _prime_from(p, -1)
+    return p * (_prime_from(bound // p + 1, 1) if above else _prime_from(bound // p, -1))
+
+
+_ODD_OF_EVERY_SIZE = st.integers(2, 64).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1)).map(lambda m: m | 1)
+_ODD_NEAR_A_BOUND = st.sampled_from(_MR_TIER_BOUNDS).flatmap(lambda b: st.integers(b - 2000, b + 2000)).map(
+    lambda m: m | 1
+)
+_SEMIPRIMES_NEAR_A_BOUND = st.sampled_from(_MR_TIER_BOUNDS).flatmap(
+    lambda b: st.builds(_semiprime_near, st.just(b), st.integers(3, math.isqrt(b)), st.booleans())
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(m=st.one_of(_ODD_OF_EVERY_SIZE, _ODD_NEAR_A_BOUND, _SEMIPRIMES_NEAR_A_BOUND))
+def test_tiered_is_prime_matches_all_twelve_bases(m):
+    # Odd m of 2 to 64 bits, odd m beside each tier bound, and products of
+    # two primes on either side of each bound.
+    assert is_prime(m) == full_miller_rabin(m), m
 
 
 # ---- multiplicative_order --------------------------------------------------

@@ -141,13 +141,25 @@ def test_scan_pq_pairs_common_roots_match_the_naive_search():
     def generates(r, p):
         return r % p != 0 and naive_order(r, p) == p - 1
 
-    reports = (scan_pq_pairs(300), scan_pq_pairs(2000, "cyclotomic", 3))
-    assert [len(report.hits) for report in reports] == [100, 28]
+    reports = (scan_pq_pairs(600), scan_pq_pairs(3000, "cyclotomic", 3))
+    assert [len(report.hits) for report in reports] == [391, 66]
+    roots = {}
     for report in reports:
         for hit in report.hits:
             p, q = hit.params["p"], hit.params["q"]
             smallest = next(r for r in itertools.count(2) if generates(r, p) and generates(r, q))
             assert hit.certificates["common_root"] == smallest, (p, q)
+            roots[p, q] = smallest
+    # The pairs whose smallest common root lies above the root masks'
+    # 2..63, so the scan falls back to find_common_primitive_root.
+    assert {pair: r for pair, r in roots.items() if r >= 64} == {
+        (307, 571): 67,
+        (499, 523): 75,
+        (281, 2281): 74,
+        (1033, 2281): 77,
+        (1481, 2281): 77,
+        (2281, 2857): 65,
+    }
 
 
 def test_scan_pq_pairs_qr_mode_refuses_k():
