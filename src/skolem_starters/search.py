@@ -19,6 +19,7 @@ and the searcher.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any
@@ -232,11 +233,14 @@ def exhaustive_skolem_search(
 
     Differences are placed largest-first, the pair (a, a + i) for
     difference i in ascending a, so results come in lexicographic order
-    of (a_k, .., a_1) and the order is deterministic.  The state is two
-    ints passed down: bits 1..n-1 of `free` are the unused positions,
-    so the open a are the bits of free & (free >> i); when
-    require_strong, bit t of `sums` marks a used pair sum, refused as
-    is t = 0.  The plain search computes no sums and passes 0.
+    of (a_k, .., a_1) and the order is deterministic.  Bits 1..n-1 of
+    the int `free` are the unused positions, so the open a are the bits
+    of free & (free >> i).  There are two recursions, each down to
+    i = 1, where a placement completes a solution: plain(i, free), and
+    strong(i, free, sums), where bit t of `sums` marks a used pair sum,
+    refused as is t = 0.  chosen[i - 1] holds the low bit 1 << a of the
+    pair placed for difference i; only a solution turns these bits
+    into pairs.
 
     Negation x -> n - x (negate_starter) maps Skolem starters to Skolem
     starters and strong ones to strong ones (sums negate), and takes
@@ -248,7 +252,10 @@ def exhaustive_skolem_search(
     whose top pair negation does not fix are appended, in reverse:
     negation reverses the order, so the list stays in search order.
 
-    The clock is read every 4096 placements.  An empty result means
+    Each call charges its candidate count to a budget of 4096 and,
+    when the budget runs out, refills it and reads the clock, which a
+    timeout of None never reads.  An int timeout beyond float range
+    sets no deadline, as math.inf does.  An empty result means
     proven nonexistence by exhaustion; running out of wall clock raises
     SearchTimeout instead, so the two can never be confused.  A modulus
     above 1001 raises BoundExceeded, and a timeout that is not None or
@@ -263,45 +270,71 @@ def exhaustive_skolem_search(
     if timeout is not None and (type(timeout) not in (int, float) or not timeout >= 0):
         raise ValueError(f"timeout must be a non-negative number of seconds, got {timeout!r}")
     k = (n - 1) // 2
-    deadline = None if timeout is None else time.monotonic() + timeout
-    # chosen[i - 1] is the pair of difference i: nothing to undo on backtrack.
-    chosen = [(0, 0)] * k
+    # An int timeout beyond float range would overflow the sum: like math.inf, it sets no deadline.
+    deadline = None if timeout is None or timeout > sys.float_info.max else time.monotonic() + timeout
+    # chosen[i - 1] is the low bit 1 << a of the pair (a, a + i) of
+    # difference i: nothing to undo on backtrack.
+    chosen = [0] * k
     solutions: list[Starter] = []
-    nodes = 0
+    # Candidates still to place before the clock is read again.
+    budget = 4096
     # Bits 1..(k + 1) // 2: the a the top pair (a, a + k) may take.
     top = (2 << (k + 1) // 2) - 2
 
-    def place(i: int, free: int, sums: int) -> bool:
-        nonlocal nodes
-        if i == 0:
-            solutions.append(Starter.from_pairs(n, chosen))
-            return not find_all
+    def tick() -> None:
+        nonlocal budget
+        budget += 4096
+        if deadline is not None and time.monotonic() > deadline:
+            raise SearchTimeout(f"search at modulus {n} exceeded {timeout} s")
+
+    def leaf() -> bool:
+        lows = [low.bit_length() - 1 for low in chosen]
+        solutions.append(Starter.from_pairs(n, [(a, a + i) for i, a in enumerate(lows, 1)]))
+        return not find_all
+
+    def plain(i: int, free: int) -> bool:
+        nonlocal budget
         cand = free & (free >> i)
         if i == k:
             cand &= top
+        budget -= cand.bit_count()
+        if budget < 0:
+            tick()
         while cand:
             low = cand & -cand
             cand ^= low
-            a = low.bit_length() - 1
-            if require_strong:
-                t = (2 * a + i) % n
-                if t == 0 or sums >> t & 1:
-                    continue
-                next_sums = sums | 1 << t
-            else:
-                next_sums = 0
-            nodes += 1
-            if nodes % 4096 == 0 and deadline is not None and time.monotonic() > deadline:
-                raise SearchTimeout(f"search at modulus {n} exceeded {timeout} s")
-            chosen[i - 1] = (a, a + i)
-            if place(i - 1, free ^ (low | low << i), next_sums):
+            chosen[i - 1] = low
+            if leaf() if i == 1 else plain(i - 1, free ^ (low | low << i)):
+                return True
+        return False
+
+    def strong(i: int, free: int, sums: int) -> bool:
+        nonlocal budget
+        cand = free & (free >> i)
+        if i == k:
+            cand &= top
+        budget -= cand.bit_count()
+        if budget < 0:
+            tick()
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            t = (2 * (low.bit_length() - 1) + i) % n
+            if t == 0 or sums >> t & 1:
+                continue
+            chosen[i - 1] = low
+            if leaf() if i == 1 else strong(i - 1, free ^ (low | low << i), sums | 1 << t):
                 return True
         return False
 
     try:
-        place(k, (1 << n) - 2, 0)
+        if require_strong:
+            strong(k, (1 << n) - 2, 0)
+        else:
+            plain(k, (1 << n) - 2)
     finally:
-        del place  # place holds itself in a closure cell: break the cycle that keeps the results
+        # Each recursion holds itself in a closure cell: break the cycles that keep the results.
+        del plain, strong
     if find_all:
         # (m, n - m) is the top pair negation fixes when k is odd; when k
         # is even its difference is k + 1, so no solution holds it.

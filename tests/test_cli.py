@@ -336,13 +336,16 @@ def test_search_all_modulus_3(capsys):
 
 
 # (arguments, sha256 of the --json stdout, exit code), recorded before the
-# search placed the top pair in one half only: the same starters, in the
+# search placed the top pair in one half only, and the last two before it
+# split into a plain and a strong recursion: the same starters, in the
 # same order, give the same bytes.
 SEARCH_DIGESTS = [
     (("--modulus", "19", "--all"), "0dc71a4d9c480699cef50e6fe7a8da91c405f83d3ec4515c03da5c7f849e0291", 0),
     (("--modulus", "19", "--strong", "--all"), "d3814680ef69a029ab8759389ea28ef44462840468c624860fc7330b1660dc75", 0),
     (("--modulus", "21", "--all"), "db3438ccd77f889d9891041cfad3b0410a5ffe58a3a65edadd09225fd7cd644f", 1),
     (("--modulus", "27", "--strong"), "8558e9448766abefff75f3efefe82faae6b774dfeb293911d89facf899f9c69b", 0),
+    (("--modulus", "23"), "794b8b058c0104eb83e0645735b2aec842dec132f3d196bf3219ff8991581ea9", 1),
+    (("--modulus", "33", "--strong"), "c0b7fbf24592ad1176095e4b44dc8cf9fec8b8f8bb6b594725d0689dcc48fa7a", 0),
 ]
 
 

@@ -250,6 +250,36 @@ def test_search_zero_timeout_is_valid():
     assert len(exhaustive_skolem_search(3, timeout=0.0)) == 1
     with pytest.raises(SearchTimeout):
         exhaustive_skolem_search(21, timeout=0.0)
+    with pytest.raises(SearchTimeout):
+        exhaustive_skolem_search(21, require_strong=True, find_all=True, timeout=0.0)
+
+
+def test_search_int_timeout_beyond_float_range_sets_no_deadline():
+    # monotonic() + 10**400 would raise a raw OverflowError.
+    assert exhaustive_skolem_search(11, timeout=10**400) == exhaustive_skolem_search(11, timeout=None)
+
+
+def test_search_without_timeout_never_reads_the_clock(monkeypatch):
+    def no_clock():
+        raise AssertionError("clock read without a timeout")
+
+    monkeypatch.setattr(search.time, "monotonic", no_clock)
+    assert exhaustive_skolem_search(21, timeout=None) == []
+
+
+def test_search_reads_the_clock_once_per_4096_candidates(monkeypatch):
+    # The plain n = 21 proof makes 185 184 placements: a clock read per
+    # call or per placement would exceed the bound.
+    reads = []
+    real = search.time.monotonic
+
+    def counted():
+        reads.append(None)
+        return real()
+
+    monkeypatch.setattr(search.time, "monotonic", counted)
+    assert exhaustive_skolem_search(21, timeout=60) == []
+    assert 2 <= len(reads) <= 185184 // 4096 + 2
 
 
 def test_search_rejects_even_modulus():
@@ -348,7 +378,11 @@ def test_search_and_enumeration_results_die_with_the_last_reference():
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        runs = (functools.partial(exhaustive_skolem_search, 19, find_all=True), functools.partial(enumerate_starters, 11))
+        runs = (
+            functools.partial(exhaustive_skolem_search, 19, find_all=True),
+            functools.partial(exhaustive_skolem_search, 19, require_strong=True, find_all=True),
+            functools.partial(enumerate_starters, 11),
+        )
         for run in runs:
             result = run()
             refs = [weakref.ref(result[0]), weakref.ref(result[-1])]
