@@ -9,11 +9,13 @@ Skolem and strong Skolem existence for a single small modulus
 positions and, for strong starters only, the used pair sums.  It
 walks half the tree: negation maps solutions to solutions, so the
 largest difference is placed only in the lower half of its range,
-and find_all adds the mirrored solutions in search order.  It uses
-neither the n mod 8 law nor a parity argument, so it stays an
-independent check of that law.  enumerate_starters lists every
-starter outright as an independent cross-check of both the verifiers
-and the searcher.
+and find_all adds the mirrored solutions in search order.  The plain
+search also skips subproblems already proven to have no completion,
+kept in a table of fixed size keyed by the free positions up to
+translation.  The search uses neither the n mod 8 law nor a parity
+argument, so it stays an independent check of that law.
+enumerate_starters lists every starter outright as an independent
+cross-check of both the verifiers and the searcher.
 """
 
 from __future__ import annotations
@@ -220,6 +222,11 @@ def scan_pq_pairs(limit: int, mode: str = "qr", k: int | None = None) -> ScanRep
 # bound keeps that well inside the interpreter's recursion limit.
 _SEARCH_BOUND = 1001
 _ENUMERATION_BOUND = 15
+# The dead-state table of the plain search: its slot count, a prime, and
+# the deepest level it holds, the same for every n.  65 521 slots are a
+# 0.5 MB list.
+_DEAD_SLOTS = 65521
+_DEAD_DEPTH = 6
 
 
 def exhaustive_skolem_search(
@@ -252,14 +259,37 @@ def exhaustive_skolem_search(
     whose top pair negation does not fix are appended, in reverse:
     negation reverses the order, so the list stays in search order.
 
+    plain keeps a table of dead subproblems, a transposition table
+    (Greenblatt et al. 1967; Zobrist 1970).  Placing differences
+    i, .., 1 on the positions of `free` depends on `free` alone, for
+    i < k, and on it only up to translation: plain positions are the
+    integers 1..n-1, with no wrap-around.  So at 2 <= i <= _DEAD_DEPTH
+    the key is free // (free & -free), whose popcount 2i also names the
+    level.  A subproblem is dead when its subtree added no solution:
+    it returned False in first-found mode, and in find_all mode, where
+    leaf returns False, the solution count did not change.  Either way
+    it has no completion, so skipping it loses nothing.  The table has
+    _DEAD_SLOTS slots whatever n is.  Slot key % _DEAD_SLOTS holds
+    key // _DEAD_SLOTS, which with the slot gives back the whole key,
+    and a new key overwrites the old: a collision only evicts, so it
+    can miss a hit but never makes a live subproblem dead.  The caller
+    tests the table, so a hit costs no call.  The table is allocated
+    at the first refill of the clock budget below, so a search of under
+    4096 candidates allocates none.  strong keeps no table: its
+    subproblem depends on the used sums too, which translation does
+    not keep, and a table keyed on free | sums << n measured slower on
+    the strong searches of n <= 33.
+
     Each call charges its candidate count to a budget of 4096 and,
     when the budget runs out, refills it and reads the clock, which a
-    timeout of None never reads.  An int timeout beyond float range
-    sets no deadline, as math.inf does.  An empty result means
-    proven nonexistence by exhaustion; running out of wall clock raises
-    SearchTimeout instead, so the two can never be confused.  A modulus
-    above 1001 raises BoundExceeded, and a timeout that is not None or
-    a non-bool int or float >= 0 raises ValueError.
+    timeout of None never reads.  A table hit charges nothing, and the
+    charged total is still an exact count of the candidates examined.
+    An int timeout beyond float range sets no deadline, as math.inf
+    does.  An empty result means proven nonexistence by exhaustion;
+    running out of wall clock raises SearchTimeout instead, so the two
+    can never be confused.  A modulus above 1001 raises BoundExceeded,
+    and a timeout that is not None or a non-bool int or float >= 0
+    raises ValueError.
     """
     _require_ints(n=n)
     if n < 3 or n % 2 == 0:
@@ -280,10 +310,18 @@ def exhaustive_skolem_search(
     budget = 4096
     # Bits 1..(k + 1) // 2: the a the top pair (a, a + k) may take.
     top = (2 << (k + 1) // 2) - 2
+    # plain's dead-state table, slot -> key // _DEAD_SLOTS (-1: empty),
+    # and the highest level whose loop tests its children in it; 0 and
+    # no table until the first refill.
+    dead: list[int] = []
+    dead_top = 0
 
     def tick() -> None:
-        nonlocal budget
+        nonlocal budget, dead, dead_top
         budget += 4096
+        if not dead_top and not require_strong:
+            dead = [-1] * _DEAD_SLOTS
+            dead_top = min(_DEAD_DEPTH + 1, k)
         if deadline is not None and time.monotonic() > deadline:
             raise SearchTimeout(f"search at modulus {n} exceeded {timeout} s")
 
@@ -300,6 +338,24 @@ def exhaustive_skolem_search(
         budget -= cand.bit_count()
         if budget < 0:
             tick()
+        if 2 < i <= dead_top:
+            # The table test, inlined: a dead child costs no call and no charge.
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                rest = free ^ (low | low << i)
+                key = rest // (rest & -rest)
+                slot = key % _DEAD_SLOTS
+                key //= _DEAD_SLOTS
+                if dead[slot] == key:
+                    continue
+                chosen[i - 1] = low
+                count = len(solutions)
+                if plain(i - 1, rest):
+                    return True
+                if len(solutions) == count:
+                    dead[slot] = key
+            return False
         while cand:
             low = cand & -cand
             cand ^= low
@@ -392,5 +448,5 @@ def enumerate_starters(n: int) -> list[Starter]:
         used[a] = 0
 
     rec(0)
-    del rec  # rec holds itself, as place does
+    del rec  # rec holds itself, as plain and strong do
     return found

@@ -2,6 +2,7 @@ import functools
 import gc
 import itertools
 import math
+import tracemalloc
 import weakref
 
 import pytest
@@ -268,8 +269,9 @@ def test_search_without_timeout_never_reads_the_clock(monkeypatch):
 
 
 def test_search_reads_the_clock_once_per_4096_candidates(monkeypatch):
-    # The plain n = 21 proof makes 185 184 placements: a clock read per
-    # call or per placement would exceed the bound.
+    # The plain n = 21 proof charges 71 447 candidates (185 184 without
+    # the dead-state table): a clock read per call or per placement would
+    # exceed the bound.
     reads = []
     real = search.time.monotonic
 
@@ -280,6 +282,53 @@ def test_search_reads_the_clock_once_per_4096_candidates(monkeypatch):
     monkeypatch.setattr(search.time, "monotonic", counted)
     assert exhaustive_skolem_search(21, timeout=60) == []
     assert 2 <= len(reads) <= 185184 // 4096 + 2
+
+
+def test_search_results_do_not_depend_on_the_dead_state_table(monkeypatch):
+    # A dead entry only skips a subtree that added no solution, so the
+    # table off (depth 0), on, and with one slot, where every write
+    # evicts and every read can collide, gives the same list in the same
+    # order.  Plain n = 41 is the least first-found search with a
+    # solution that passes one clock budget, when the table is allocated.
+    tables = {"off": {"_DEAD_DEPTH": 0}, "on": {}, "one slot": {"_DEAD_SLOTS": 1}}
+    runs = [(n, strong, every) for n in range(3, 22, 2) for strong in (False, True) for every in (False, True)]
+    runs += [(n, False, False) for n in (23, 25, 27, 41)]
+    results = {}
+    for name, settings in tables.items():
+        with monkeypatch.context() as patch:
+            for constant, value in settings.items():
+                patch.setattr(search, constant, value)
+            results[name] = [
+                exhaustive_skolem_search(n, require_strong=strong, find_all=every) for n, strong, every in runs
+            ]
+    for run, on, off, one in zip(runs, results["on"], results["off"], results["one slot"]):
+        assert on == off == one, run
+    assert results["on"][runs.index((23, False, False))] == []
+
+
+def test_dead_state_table_is_fixed_in_size_and_freed():
+    # The table's memory depends on _DEAD_SLOTS and not on n: the two
+    # plain proofs peak at its size plus frames and working ints, and no
+    # call keeps it.  A search of under 4096 candidates allocates none.
+    slack = 1 << 14
+    runs = (
+        (functools.partial(exhaustive_skolem_search, 23), search._DEAD_SLOTS * 8 + slack),
+        (functools.partial(exhaustive_skolem_search, 21, find_all=True), search._DEAD_SLOTS * 8 + slack),
+        (functools.partial(exhaustive_skolem_search, 25), slack),
+    )
+    tracemalloc.start()
+    try:
+        for run, bound in runs:
+            start, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            result = run()
+            del result
+            current, peak = tracemalloc.get_traced_memory()
+            assert peak - start <= bound, run
+            # Within a few hundred bytes of interpreter caches.
+            assert current - start < 1024, run
+    finally:
+        tracemalloc.stop()
 
 
 def test_search_rejects_even_modulus():
