@@ -5,10 +5,15 @@ Kondratieva and Shalaby, Strong Skolem starters, J. Combin. Des. 27,
 2019): keep the low half of every orbit of a multiplier r and pair
 each kept x with beta*x, beta = 2 or the inverse of 2 (any
 non-residue for horton_starter).  One walk, _walk, visits each orbit
-x = c * r^e mod m from its least residue c and keeps the x with
-e mod delta < delta/2.  A recipe checks its hypotheses, picks m, r
-and delta, and ends in one call _certified(m, r, delta, recipe),
-which walks, records lambda and certifies the pairs:
+x = c * r^e mod m from its least residue c, keeps the x with
+e mod delta < delta/2 and writes each kept pair into the slot of its
+smaller member: it makes the starter's canonical columns itself, with
+no pair list and no Starter.from_pairs.  delta must divide every orbit
+length.  A walk that breaks this, writes a slot twice or makes a pair
+with a member 0 mod m is refused with CoverageFailure and never
+returned.  A recipe checks its hypotheses, picks m, r and delta, and
+ends in one call _certified(m, r, delta, recipe), which walks, records
+lambda and certifies the columns:
 
   Z_p      qr, horton (r primitive, delta = 2) and cyclotomic
            (p = 2^k t + 1, delta = 2^k)
@@ -39,10 +44,17 @@ never escape: a doubling multiplier (2 or its inverse) must pass all
 four verifiers, and any other horton multiplier must give a strong
 starter.  A failure raises
 CoverageFailure with the witnesses.
+
+The shape checks of a cyclotomic prime, _two_adic_prime and
+_cyclotomic_shape, are memoized for each (p, k, name) they accept,
+name being "p" or "q".  Each accepted p is a prime no larger than the
+construction bound, with 3 <= k < 20, so each memo is bounded by the
+primes a process has seen: at most 34 entries for each of them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields, replace
 from typing import Any
@@ -56,7 +68,7 @@ from .modnt import (
     lift_primitive_root,
 )
 from .search import BoundExceeded, find_common_primitive_root
-from .starters import classify, Starter
+from .starters import _partner_columns, classify, Starter
 
 BETA_TWO = 2
 BETA_TWO_INVERSE = "2inv"
@@ -153,6 +165,10 @@ def _require_qr_prime(p: int, name: str = "p", mod: int = 8) -> None:
     _require(p != 3, f"{name} = 3 is excluded")
 
 
+# The two shape checks below are memoized, as modnt._odd_prime_exponents
+# is: a scan certifies each of its primes many times over.  A refusal
+# raises and is never cached.
+@functools.cache
 def _two_adic_prime(p: int, k: int, name: str = "p") -> None:
     """k >= 3 and p is a prime with 2^k dividing p - 1."""
     _require(k >= 3, f"k must be >= 3, got {k}")
@@ -162,6 +178,7 @@ def _two_adic_prime(p: int, k: int, name: str = "p") -> None:
     _require(k < ((p - 1) & (1 - p)).bit_length(), f"2^{k} does not divide {name} - 1 = {p - 1}")
 
 
+@functools.cache
 def _cyclotomic_shape(p: int, k: int, name: str = "p") -> None:
     """p is a prime 2^k t + 1 with k >= 3 and t odd > 1."""
     _two_adic_prime(p, k, name)
@@ -184,26 +201,82 @@ def _require_pq_pair(p: int, q: int) -> None:
     _require((q - 1) % (p - 1) != 0, f"(p-1) = {p - 1} divides (q-1) = {q - 1}")
 
 
-def _walk(modulus: int, root: int, delta: int, mult: int) -> tuple[list[tuple[int, int]], list[int]]:
-    """The pairs {x, mult*x} over the low half of every orbit of
-    x -> root*x, and the orbit leaders.
+def _walk(
+    modulus: int, root: int, delta: int, mult: int
+) -> tuple[tuple[int, ...], tuple[int, ...], list[int]]:
+    """The canonical columns of the pairs {x, mult*x} over the low half
+    of every orbit of x -> root*x, and the orbit leaders.
 
     Each least residue c not yet visited leads the orbit x = c * root^e,
-    and x is kept when e mod delta < delta/2; delta must divide every
-    orbit length.
+    and x is kept when e mod delta < delta/2: the walk keeps delta/2
+    steps, skips delta/2, and so on, with no e mod delta per step.  Each
+    kept x writes partner[min(x, y)] = max(x, y), y = mult*x mod
+    modulus, and the slots are read back as Starter.from_pairs' counting
+    path reads them (_partner_columns).
+
+    delta must divide every orbit length: an orbit that ends inside a
+    block keeps more than half of itself, so the walk makes more than
+    (modulus - 1)/2 pairs.  CoverageFailure refuses what a walk can get
+    wrong, and nothing is returned then: a slot written twice, a pair
+    with a member 0 mod modulus, and a pair count other than
+    (modulus - 1)/2.  Pairs whose members coincide and every other
+    defect are left to the verifiers, which _certified runs.
     """
-    seen = bytearray(modulus)
-    pairs, leaders = [], []
-    for c in range(1, modulus):
-        if not seen[c]:
-            leaders.append(c)
-            x, e = c, 0
-            while not seen[x]:
+    n = modulus
+    seen = bytearray(n)
+    seen[0] = 1  # 0 leads no orbit, and a step onto it ends one
+    partner = [0] * n
+    leaders = []
+    half = range(delta >> 1)
+    c = 1
+    while c > 0:
+        leaders.append(c)
+        x = c
+        # Keep half a block of delta steps, then skip half: a step onto a
+        # seen x ends the orbit (break), a block run in full goes on (else).
+        while True:
+            for _ in half:
                 seen[x] = 1
-                if e % delta < delta >> 1:
-                    pairs.append((x, x * mult % modulus))
-                x, e = x * root % modulus, e + 1
-    return pairs, leaders
+                y = x * mult % n
+                if x < y:
+                    if partner[x]:
+                        _refuse_slot(n, root, x, partner[x], y)
+                    partner[x] = y
+                elif y and not partner[y]:
+                    partner[y] = x
+                else:
+                    _refuse_slot(n, root, y, partner[y], x)
+                x = x * root % n
+                if seen[x]:
+                    break
+            else:
+                for _ in half:
+                    seen[x] = 1
+                    x = x * root % n
+                    if seen[x]:
+                        break
+                else:
+                    continue
+            break
+        c = seen.find(0, c + 1)
+    lows, highs = _partner_columns(partner)
+    if len(lows) != n >> 1:
+        raise CoverageFailure(
+            f"the walk of {root} with delta = {delta} mod {n} made {len(lows)} pairs, not {n >> 1}"
+        )
+    return lows, highs, leaders
+
+
+def _refuse_slot(modulus: int, root: int, lo: int, old: int, hi: int) -> None:
+    """A kept x of the walk of root mod modulus made (lo, hi), and slot lo
+    is taken by old or lo is 0."""
+    if lo == 0:
+        raise CoverageFailure(
+            f"the walk of {root} mod {modulus} made pair (0, {hi}): a member is 0 mod {modulus}"
+        )
+    raise CoverageFailure(
+        f"the walk of {root} mod {modulus} wrote slot {lo} twice: pairs ({lo}, {old}) and ({lo}, {hi})"
+    )
 
 
 def _in_half_shift(x: int, root: int, p: int, q: int, delta: int) -> bool:
@@ -225,8 +298,9 @@ def _in_half_shift(x: int, root: int, p: int, q: int, delta: int) -> bool:
 
 
 def _certified(modulus: int, root: int, delta: int, recipe: Recipe) -> Starter:
-    """The walk of root on Z_modulus with the multiplier of recipe.beta,
-    canonicalized and self-verified.
+    """The starter whose columns the walk of root on Z_modulus with the
+    multiplier of recipe.beta writes, self-verified; a walk refused by
+    _walk raises its CoverageFailure here.
 
     lambda is the first unit orbit leader after 1, the smallest unit
     outside <root>: None mod p^n, whose units root generates.  The
@@ -237,9 +311,9 @@ def _certified(modulus: int, root: int, delta: int, recipe: Recipe) -> Starter:
     reports the witnesses.
     """
     mult = _beta_multiplier(recipe.beta, modulus)
-    pairs, leaders = _walk(modulus, root, delta, mult)
+    lows, highs, leaders = _walk(modulus, root, delta, mult)
     recipe = replace(recipe, lam=next((c for c in leaders[1:] if math.gcd(c, modulus) == 1), None))
-    s = Starter.from_pairs(modulus, pairs)
+    s = Starter(modulus, lows, highs)
     cls = classify(s)
     doubling = mult in (2, (modulus + 1) >> 1)
     if not (cls.all_four if doubling else cls.is_starter and cls.is_strong):

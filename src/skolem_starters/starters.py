@@ -14,10 +14,13 @@ highs, sorted in (lo, hi) order.  Starter.from_pairs validates and
 canonicalizes on one of two paths: a sized input of at least 64 pairs
 with n <= 4 * len(pairs) is sorted by counting, in a list of n slots
 indexed by lo; any other input, and one where a lo meets a second hi,
-goes through a set of keys lo * n + hi and a sort.  The verifiers and
-the JSON encoder walk the columns.  Its pairs property builds a tuple
-of Pairs on each read: a Pair is a NamedTuple (lo, hi), so
-Pair(1, 2) == (1, 2) and pairs order and hash as plain tuples.  All
+goes through a set of keys lo * n + hi and a sort.  The counting
+path's read-back, _partner_columns, is shared with the constructions'
+orbit walk, which fills the slots itself: recipe builds do not go
+through from_pairs.  The verifiers and the JSON encoder walk the
+columns.  Its pairs property builds a tuple of Pairs on each read: a
+Pair is a NamedTuple (lo, hi), so Pair(1, 2) == (1, 2) and pairs
+order and hash as plain tuples.  All
 four verdicts come from one pass over the pairs, made once per Starter
 and kept on it, which classify and each verify_* function read.  A
 Classification stores only the witnesses, and a decoded classification
@@ -61,7 +64,8 @@ class Starter:
     """A candidate starter: odd modulus plus canonically sorted pairs.
 
     Pair i is (lows[i], highs[i]), 0 < lo < hi < n, in ascending
-    (lo, hi) order; build one with from_pairs.  recipe and
+    (lo, hi) order; build one with from_pairs (the constructions pass
+    the columns of their walk, which they then certify).  recipe and
     classification are optional attachments (filled in by the
     construction layer); they never take part in equality, so two
     starters are equal exactly when their pair sets coincide.
@@ -136,11 +140,7 @@ class Starter:
                 partner = None
                 add(a * modulus + b)
         if partner is not None:
-            # x + 0 makes fresh ints in sorted order: reusing the
-            # caller's ints, which sit in their input order, slows
-            # every later walk over highs.
-            return cls(modulus, tuple(compress(range(modulus), partner)),
-                       tuple(map(operator.add, filter(None, partner), repeat(0))))
+            return cls(modulus, *_partner_columns(partner))
         ordered = sorted(keys)
         return cls(modulus, tuple([key // modulus for key in ordered]),
                    tuple([key % modulus for key in ordered]))
@@ -150,6 +150,19 @@ class Starter:
         # Same pairs, same verdicts: the copy keeps a pass already made.
         object.__setattr__(copy, "_witnesses", self._witnesses)
         return copy
+
+
+def _partner_columns(partner: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The canonical columns of partner[lo] = hi (0 for no pair), a list
+    of n slots: the lows in ascending order and the highs beside them.
+
+    Shared by Starter.from_pairs' counting path and the constructions'
+    orbit walk, which fill the slots themselves.
+    """
+    # x + 0 makes fresh ints in sorted order: reusing the caller's ints,
+    # which sit in their input order, slows every later walk over highs.
+    return (tuple(compress(range(len(partner)), partner)),
+            tuple(map(operator.add, filter(None, partner), repeat(0))))
 
 
 _VERDICTS = ("starter", "strong", "skolem", "cardioidal")

@@ -91,6 +91,30 @@ def naive_coset(g: int, shift: int, m: int) -> set[int]:
     return out
 
 
+def walk_pairs(modulus: int, root: int, delta: int, mult: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """The pairs (x, mult*x) over the low half of every orbit of
+    x -> root*x, in walk order, and the orbit leaders: the pair-list
+    walk that constructions._walk replaced.
+
+    Each least residue c not yet visited leads the orbit x = c * root^e,
+    and x is kept when e mod delta < delta/2.  Nothing is checked, so an
+    orbit of any length, and a multiplier that gives no starter, walk
+    here as they come.
+    """
+    seen = bytearray(modulus)
+    pairs, leaders = [], []
+    for c in range(1, modulus):
+        if not seen[c]:
+            leaders.append(c)
+            x, e = c, 0
+            while not seen[x]:
+                seen[x] = 1
+                if e % delta < delta >> 1:
+                    pairs.append((x, x * mult % modulus))
+                x, e = x * root % modulus, e + 1
+    return pairs, leaders
+
+
 def canonical_pairs(n: int, pairs: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     """The pairs Starter.from_pairs keeps: each member reduced mod n,
     each pair ordered lo < hi, repeats dropped, sorted.  MalformedStarter

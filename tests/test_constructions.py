@@ -37,7 +37,15 @@ from skolem_starters.starters import (
     Starter,
     starter_to_json,
 )
-from oracles import full_group_in_half_shift, naive_coset, naive_dlog, naive_order, squares_set, trial_division_prime
+from oracles import (
+    full_group_in_half_shift,
+    naive_coset,
+    naive_dlog,
+    naive_order,
+    squares_set,
+    trial_division_prime,
+    walk_pairs,
+)
 
 from test_json_golden import _grid_calls, DIGESTS
 from test_starters import Z19_PAIRS, Z11_PAIRS
@@ -586,9 +594,8 @@ def test_a_walk_that_fails_its_verdicts_is_refused(monkeypatch):
     walk = constructions._walk
 
     def swapped(*args):
-        pairs, leaders = walk(*args)
-        (a, b), (c, d), *rest = pairs
-        return [(a, d), (c, b), *rest], leaders
+        lows, highs, leaders = walk(*args)
+        return lows, (highs[1], highs[0], *highs[2:]), leaders
 
     monkeypatch.setattr(constructions, "_walk", swapped)
     for build, args, method in (
@@ -604,6 +611,52 @@ def test_a_walk_that_fails_its_verdicts_is_refused(monkeypatch):
     assert cls.is_starter and cls.is_strong and not cls.is_skolem
 
 
+@pytest.mark.parametrize(
+    "corrupt,match",
+    [
+        # 4 = 2^2 pairs 7 with 16 and, two steps on, with 9.
+        (
+            lambda m, r, d, mult: (m, r, d, 4),
+            r"^the walk of 2 mod 19 wrote slot 7 twice: pairs \(7, 16\) and \(7, 9\)$",
+        ),
+        (lambda m, r, d, mult: (m, r, d, 0), r"^the walk of 2 mod 19 made pair \(0, 1\): a member is 0 mod 19$"),
+        # 5 has order 9 mod 19: each of its two orbits keeps 5 of its 9 steps.
+        (lambda m, r, d, mult: (m, 5, d, mult), r"^the walk of 5 with delta = 2 mod 19 made 10 pairs, not 9$"),
+    ],
+    ids=["slot written twice", "member 0", "pair count"],
+)
+def test_a_walk_that_goes_wrong_is_refused_before_any_starter_is_made(monkeypatch, corrupt, match):
+    # The walk itself refuses a slot written twice, a pair with a member 0
+    # mod m and a pair count other than k: CoverageFailure, never
+    # MalformedStarter or a raw error, and nothing reaches the verifiers.
+    walk = constructions._walk
+    monkeypatch.setattr(constructions, "_walk", lambda *args: walk(*corrupt(*args)))
+    monkeypatch.setattr(constructions, "classify", None)
+    with pytest.raises(CoverageFailure, match=match):
+        qr_starter(19)
+
+
+def test_the_walk_writes_the_columns_of_the_pair_list_walk(monkeypatch):
+    # Every walk a golden recipe makes, Z_173377 and Z_78961 = 281^2 among
+    # them: the columns are from_pairs' canonical pairs of the pair-list
+    # oracle, and the leaders are the oracle's.
+    walk, walks = constructions._walk, []
+
+    def recorded(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(constructions, "_walk", recorded)
+    for recipe, args in [*DIGESTS, ("prime_power_cyclotomic_starter", (281, 3, 2))]:
+        getattr(constructions, recipe)(*args)
+    assert {args[0] for args in walks} >= {173377, 78961}
+    assert len(walks) == len(DIGESTS) + 1
+    for args in walks:
+        pairs, leaders = walk_pairs(*args)
+        s = Starter.from_pairs(args[0], pairs)
+        assert walk(*args) == (s.lows, s.highs, leaders), args
+
+
 def test_coset_certificate_bound(monkeypatch):
     # Each prime is bounded, not pq: scans certify pairs with pq near 4 * 10^8.
     # Refused before any primality test, factorization or discrete log.
@@ -614,6 +667,37 @@ def test_coset_certificate_bound(monkeypatch):
         for p, q in ((281, 8000000000393), (8000000000009, 8000000000393), (big, big + 2)):
             with pytest.raises(BoundExceeded, match="exceeds the construction bound"):
                 check(p, q, 3, 3)
+
+
+def test_a_second_certificate_on_the_same_primes_tests_no_primality(monkeypatch):
+    # The shape of each prime is proved once and memoized.
+    assert check_minus_one_coset(281, 617, 3, 3) and check_two_in_coset(281, 617, 3, 3)
+
+    def refuse(m):
+        raise AssertionError(f"is_prime({m}) called")
+
+    monkeypatch.setattr(constructions, "is_prime", refuse)
+    assert check_minus_one_coset(281, 617, 3, 3) is True
+    assert check_two_in_coset(281, 617, 3, 3) is True
+
+
+def test_a_refused_prime_is_refused_again(monkeypatch):
+    # A refusal raises and is never memoized: each call tests its prime afresh.
+    # The memos start empty, whatever ran before.
+    constructions._two_adic_prime.cache_clear()
+    constructions._cyclotomic_shape.cache_clear()
+    is_prime, calls = constructions.is_prime, []
+    monkeypatch.setattr(constructions, "is_prime", lambda m: calls.append(m) or is_prime(m))
+    for _ in range(2):
+        with pytest.raises(HypothesisViolation, match=r"^2\^3 does not divide p - 1 = 282$"):
+            check_two_in_coset(283, 617, 3, 3)
+        with pytest.raises(HypothesisViolation, match="^p = 287 is not prime$"):
+            check_minus_one_coset(287, 617, 3, 3)
+        with pytest.raises(HypothesisViolation, match=r"^\(p-1\)/2\^4 must exceed 1$"):
+            cyclotomic_starter(17, 4)
+    # 17 = 2^4 + 1 passes the 2-adic check, which keeps it, and is refused
+    # again by the cyclotomic shape's t > 1 without a second primality test.
+    assert calls == [283, 287, 17, 283, 287]
 
 
 # ---- doubling orbits ---------------------------------------------------------------
@@ -757,8 +841,8 @@ def test_qr_starter_is_the_doubling_walk_only_when_every_orbit_leader_is_a_resid
     primes = [p for p in range(11, 3000, 8) if trial_division_prime(p)]
     agree = []
     for p in primes:
-        pairs, leaders = constructions._walk(p, 2, 2, 2)
-        same = qr_starter(p) == Starter.from_pairs(p, pairs)
+        lows, highs, leaders = constructions._walk(p, 2, 2, 2)
+        same = qr_starter(p) == Starter(p, lows, highs)
         residues = squares_set(p)
         assert same == all(c in residues for c in leaders), p
         if same:

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skolem_starters.constructions import (
-    _walk,
     check_two_in_coset,
     HypothesisViolation,
     pq_cyclotomic_starter,
@@ -27,7 +26,15 @@ from skolem_starters.modnt import (
     NotAUnit,
     NotInSubgroup,
 )
-from oracles import full_miller_rabin, naive_coset, naive_dlog, naive_order, squares_set, trial_division_prime
+from oracles import (
+    full_miller_rabin,
+    naive_coset,
+    naive_dlog,
+    naive_order,
+    squares_set,
+    trial_division_prime,
+    walk_pairs,
+)
 
 
 # ---- is_prime --------------------------------------------------------------
@@ -361,17 +368,18 @@ def test_in_half_class_matches_discrete_log_index(n):
                 assert in_half_class(x, m, order, delta) == (e % delta == delta >> 1), (x, m, k)
 
 
-# ---- cyclic cosets: the orbits of the constructions' walk ------------------
+# ---- cyclic cosets: the orbits of the pair-list walk ------------------------
 
 
 def test_walk_examples():
-    # Mod 11, <4> = {1, 3, 4, 5, 9} = QR(11) and 2<4> are the two orbits of
-    # x -> 4x, walked 1, 4, 5, 9, 3 and 2, 8, 10, 7, 6; even steps are kept.
-    assert _walk(11, 4, 2, 2) == ([(1, 2), (5, 10), (3, 6), (2, 4), (10, 9), (6, 1)], [1, 2])
+    # The pair-list oracle of constructions._walk.  Mod 11, <4> = {1, 3, 4, 5, 9}
+    # = QR(11) and 2<4> are the two orbits of x -> 4x, walked 1, 4, 5, 9, 3 and
+    # 2, 8, 10, 7, 6; even steps are kept.
+    assert walk_pairs(11, 4, 2, 2) == ([(1, 2), (5, 10), (3, 6), (2, 4), (10, 9), (6, 1)], [1, 2])
     # A primitive root has one orbit per stratum p^i * (units mod p^(n-i)).
-    pairs, leaders = _walk(11, 2, 2, 2)
+    pairs, leaders = walk_pairs(11, 2, 2, 2)
     assert (leaders, {x for x, _ in pairs}) == ([1], squares_set(11))
-    pairs, leaders = _walk(121, 2, 2, 61)
+    pairs, leaders = walk_pairs(121, 2, 2, 61)
     assert leaders == [1, 11]
     assert {x for x, _ in pairs} == (squares_set(121) - {0}) | {11 * y for y in squares_set(11)}
     assert all(y == 61 * x % 121 for x, y in pairs)
@@ -387,7 +395,7 @@ def test_walk_orbits_tile_the_residues_and_keep_every_other_step(m, g, mult):
     g %= m
     if g == 0 or math.gcd(g, m) != 1:
         g = 2 if math.gcd(2, m) == 1 else 3
-    pairs, leaders = _walk(m, g, 2, mult)
+    pairs, leaders = walk_pairs(m, g, 2, mult)
     # The leaders are the least members of the cosets c <g>, which tile 1 .. m-1.
     cosets = [naive_coset(g, c, m) for c in leaders]
     assert all(c == min(coset) for c, coset in zip(leaders, cosets))
