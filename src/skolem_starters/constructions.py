@@ -45,16 +45,16 @@ four verifiers, and any other horton multiplier must give a strong
 starter.  A failure raises
 CoverageFailure with the witnesses.
 
-The shape checks of a cyclotomic prime, _two_adic_prime and
-_cyclotomic_shape, are memoized for each (p, k, name) they accept,
-name being "p" or "q".  Each accepted p is a prime no larger than the
-construction bound, with 3 <= k < 20, so each memo is bounded by the
-primes a process has seen: at most 34 entries for each of them.
+A hypothesis check formats its message only when it refuses.  Each
+prime is proven once per process: _require_prime, the one primality
+test here, keeps a set of the primes it has proven, keyed on p alone,
+so a prime proven as q is not tested again as p.  A refusal is never
+stored, nor a prime above the construction bound, so the set holds at
+most the 78 498 primes up to it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, fields, replace
 from typing import Any
@@ -109,9 +109,11 @@ class Recipe:
 _RECIPE_KEYS = tuple(("lambda" if f.name == "lam" else f.name, f.name) for f in fields(Recipe))
 
 
-def _require(condition: bool, message: str) -> None:
+def _require(condition: bool, message: str, *args: object) -> None:
+    """Refuse unless condition holds; message.format(*args) is built only
+    on refusal."""
     if not condition:
-        raise HypothesisViolation(message)
+        raise HypothesisViolation(message.format(*args))
 
 
 def normalize_beta(beta: int | str) -> int | str:
@@ -136,8 +138,8 @@ def _require_bounded(p: int, q: int = 1, n: int = 1, *, each_prime: bool = False
     the modulus (pq)^n, or with each_prime both primes, is at most
     _CONSTRUCTION_BOUND (BoundExceeded), a huge n refused before the
     power is built."""
-    for key, value in {"p": p, "q": q, "n": n, **others}.items():
-        _require(type(value) is int, f"{key} must be an int, got {value!r}")
+    for key, value in (("p", p), ("q", q), ("n", n), *others.items()):
+        _require(type(value) is int, "{} must be an int, got {!r}", key, value)
     for m in (p, q) if each_prime else (p * q,):
         if n > _CONSTRUCTION_BOUND.bit_length() or n > 0 and m**n > _CONSTRUCTION_BOUND:
             shown = m if n == 1 else f"{m}^{n}"
@@ -148,7 +150,7 @@ def _require_bounded(p: int, q: int = 1, n: int = 1, *, each_prime: bool = False
 def _doubling_beta(beta: int | str) -> int | str:
     """Normalize beta and require one of the two doubling multipliers."""
     beta = normalize_beta(beta)
-    _require(beta in (BETA_TWO, BETA_TWO_INVERSE), f"beta must be 2 or {BETA_TWO_INVERSE!r}")
+    _require(beta in (BETA_TWO, BETA_TWO_INVERSE), "beta must be 2 or {!r}", BETA_TWO_INVERSE)
     return beta
 
 
@@ -158,47 +160,58 @@ def _beta_multiplier(beta: int | str, modulus: int) -> int:
     return int(beta) % modulus
 
 
+# The primes _require_prime has proven, keyed on p alone: a prime proven
+# as q is not tested again as p.  A refusal raises before p is stored.
+_proven_primes: set[int] = set()
+
+
+def _require_prime(p: int, name: str) -> None:
+    """p is a prime; the only primality test of this module."""
+    if p not in _proven_primes:
+        _require(is_prime(p), "{} = {} is not prime", name, p)
+        # Every recipe bounds p first, but the prime-power recipes test p
+        # before refusing an n < 1, which skips the bound.
+        if p <= _CONSTRUCTION_BOUND:
+            _proven_primes.add(p)
+
+
 def _require_qr_prime(p: int, name: str = "p", mod: int = 8) -> None:
     """p is a prime, 3 (mod `mod`), other than 3."""
-    _require(is_prime(p), f"{name} = {p} is not prime")
-    _require(p % mod == 3, f"{name} = {p} must be 3 (mod {mod})")
-    _require(p != 3, f"{name} = 3 is excluded")
+    _require_prime(p, name)
+    _require(p % mod == 3, "{} = {} must be 3 (mod {})", name, p, mod)
+    _require(p != 3, "{} = 3 is excluded", name)
 
 
-# The two shape checks below are memoized, as modnt._odd_prime_exponents
-# is: a scan certifies each of its primes many times over.  A refusal
-# raises and is never cached.
-@functools.cache
 def _two_adic_prime(p: int, k: int, name: str = "p") -> None:
     """k >= 3 and p is a prime with 2^k dividing p - 1."""
-    _require(k >= 3, f"k must be >= 3, got {k}")
-    _require(is_prime(p), f"{name} = {p} is not prime")
+    _require(k >= 3, "k must be >= 3, got {}", k)
+    _require_prime(p, name)
     # (p - 1) & (1 - p) is the largest power of 2 dividing p - 1; 2^k is
     # not built before k is known to be small.
-    _require(k < ((p - 1) & (1 - p)).bit_length(), f"2^{k} does not divide {name} - 1 = {p - 1}")
+    _require(k < ((p - 1) & (1 - p)).bit_length(), "2^{} does not divide {} - 1 = {}", k, name, p - 1)
 
 
-@functools.cache
 def _cyclotomic_shape(p: int, k: int, name: str = "p") -> None:
     """p is a prime 2^k t + 1 with k >= 3 and t odd > 1."""
     _two_adic_prime(p, k, name)
     t = (p - 1) >> k
-    _require(t % 2 == 1, f"({name}-1)/2^{k} = {t} must be odd")
-    _require(t > 1, f"({name}-1)/2^{k} must exceed 1")
+    _require(t % 2 == 1, "({}-1)/2^{} = {} must be odd", name, k, t)
+    _require(t > 1, "({}-1)/2^{} must exceed 1", name, k)
+
+
+_TWO_OUT_OF_CLASS = "2 is not in the class r^{} <r^{}> mod {}"
 
 
 def _cyclotomic_prime(p: int, k: int, name: str = "p") -> None:
     """The cyclotomic shape, with 2 in the class r^(2^(k-1)) <r^(2^k)> of Z_p^*."""
     _cyclotomic_shape(p, k, name)
     delta = 1 << k
-    _require(
-        in_half_class(2, p, p - 1, delta), f"2 is not in the class r^{delta >> 1} <r^{delta}> mod {p}"
-    )
+    _require(in_half_class(2, p, p - 1, delta), _TWO_OUT_OF_CLASS, delta >> 1, delta, p)
 
 
 def _require_pq_pair(p: int, q: int) -> None:
-    _require(p < q, f"need p < q, got ({p}, {q})")
-    _require((q - 1) % (p - 1) != 0, f"(p-1) = {p - 1} divides (q-1) = {q - 1}")
+    _require(p < q, "need p < q, got ({}, {})", p, q)
+    _require((q - 1) % (p - 1) != 0, "(p-1) = {} divides (q-1) = {}", p - 1, q - 1)
 
 
 def _walk(
@@ -336,7 +349,7 @@ def horton_starter(p: int, beta: int | str) -> Starter:
     beta = normalize_beta(beta)
     beta_r = _beta_multiplier(beta, p)
     _require(beta_r % p != 0, "beta must be a unit")
-    _require(in_half_class(beta_r, p, p - 1, 2), f"beta = {beta_r} is a quadratic residue mod {p}")
+    _require(in_half_class(beta_r, p, p - 1, 2), "beta = {} is a quadratic residue mod {}", beta_r, p)
     _require(beta_r != p - 1, "beta = -1 is excluded")
     recipe = Recipe(method="horton", p=p, beta=beta if beta == BETA_TWO_INVERSE else beta_r)
     return _certified(p, find_primitive_root(p), 2, recipe)
@@ -384,7 +397,7 @@ def prime_power_starter(p: int, n: int, beta: int | str = BETA_TWO) -> Starter:
     """
     _require_bounded(p, n=n)
     _require_qr_prime(p)
-    _require(n >= 1, f"n must be >= 1, got {n}")
+    _require(n >= 1, "n must be >= 1, got {}", n)
     beta = _doubling_beta(beta)
     root = lift_primitive_root(p, n)
     recipe = Recipe(method="prime_power", p=p, n=n, beta=beta, root=root)
@@ -401,7 +414,7 @@ def prime_power_cyclotomic_starter(
     """
     _require_bounded(p, n=n, k=k)
     _cyclotomic_prime(p, k)
-    _require(n >= 1, f"n must be >= 1, got {n}")
+    _require(n >= 1, "n must be >= 1, got {}", n)
     beta = _doubling_beta(beta)
     root = lift_primitive_root(p, n)
     recipe = Recipe(method="prime_power_cyclotomic", p=p, k=k, n=n, beta=beta, root=root)
@@ -482,7 +495,7 @@ def check_minus_one_coset(p: int, q: int, k: int, r: int) -> bool:
     _cyclotomic_shape(q, k, "q")
     _require((p - 1) >> k < (q - 1) >> k, "need t1 < t2")
     for m in (p, q):
-        _require(in_half_class(r, m, m - 1, 2), f"r = {r} is not a quadratic non-residue mod {m}")
+        _require(in_half_class(r, m, m - 1, 2), "r = {} is not a quadratic non-residue mod {}", r, m)
     return True
 
 
@@ -497,17 +510,12 @@ def check_two_in_coset(p: int, q: int, k: int, r: int) -> bool:
     each taken in the subgroup of order gcd(p-1, q-1) (_in_half_shift).
     """
     _require_bounded(p, q, k=k, r=r, each_prime=True)
-    _require(p != q, f"p and q must be distinct, got {p} twice")
+    _require(p != q, "p and q must be distinct, got {} twice", p)
     _two_adic_prime(p, k, "p")
     _two_adic_prime(q, k, "q")
-    _require(
-        is_primitive_root(r, p) and is_primitive_root(r, q),
-        f"r = {r} must be a common primitive root of {p} and {q}",
-    )
+    common = is_primitive_root(r, p) and is_primitive_root(r, q)
+    _require(common, "r = {} must be a common primitive root of {} and {}", r, p, q)
     delta = 1 << k
     for value in (p, q):
-        _require(
-            in_half_class(2, value, value - 1, delta),
-            f"2 is not in the class r^{delta >> 1} <r^{delta}> mod {value}",
-        )
+        _require(in_half_class(2, value, value - 1, delta), _TWO_OUT_OF_CLASS, delta >> 1, delta, value)
     return _in_half_shift(2, r, p, q, delta)

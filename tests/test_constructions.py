@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import math
+import re
 from collections import Counter
 
 import pytest
@@ -681,13 +682,19 @@ def test_a_second_certificate_on_the_same_primes_tests_no_primality(monkeypatch)
     assert check_two_in_coset(281, 617, 3, 3) is True
 
 
-def test_a_refused_prime_is_refused_again(monkeypatch):
-    # A refusal raises and is never memoized: each call tests its prime afresh.
-    # The memos start empty, whatever ran before.
-    constructions._two_adic_prime.cache_clear()
-    constructions._cyclotomic_shape.cache_clear()
+def _record_primality_tests(monkeypatch) -> list[int]:
+    """Start from an empty memo of proven primes, whatever ran before, and
+    record each number constructions tests for primality."""
+    monkeypatch.setattr(constructions, "_proven_primes", set())
     is_prime, calls = constructions.is_prime, []
     monkeypatch.setattr(constructions, "is_prime", lambda m: calls.append(m) or is_prime(m))
+    return calls
+
+
+def test_a_refused_prime_is_refused_again(monkeypatch):
+    # A refusal raises and is never memoized: a number that is not prime is
+    # tested afresh on every call, and a prime once.
+    calls = _record_primality_tests(monkeypatch)
     for _ in range(2):
         with pytest.raises(HypothesisViolation, match=r"^2\^3 does not divide p - 1 = 282$"):
             check_two_in_coset(283, 617, 3, 3)
@@ -695,9 +702,110 @@ def test_a_refused_prime_is_refused_again(monkeypatch):
             check_minus_one_coset(287, 617, 3, 3)
         with pytest.raises(HypothesisViolation, match=r"^\(p-1\)/2\^4 must exceed 1$"):
             cyclotomic_starter(17, 4)
-    # 17 = 2^4 + 1 passes the 2-adic check, which keeps it, and is refused
-    # again by the cyclotomic shape's t > 1 without a second primality test.
-    assert calls == [283, 287, 17, 283, 287]
+    # 283 fails the 2-adic check and 17 = 2^4 + 1 the cyclotomic shape's
+    # t > 1, but both are proven prime first and are not tested again.
+    assert calls == [283, 287, 17, 287]
+
+
+def test_a_prime_proven_as_q_is_not_tested_again_as_p(monkeypatch):
+    # The memo keys on the prime alone, not on the name a message gives it.
+    calls = _record_primality_tests(monkeypatch)
+    assert check_two_in_coset(281, 617, 3, 3) is True
+    assert calls == [281, 617]
+    assert check_two_in_coset(617, 281, 3, 3) is True
+    assert calls == [281, 617]
+
+
+def test_the_qr_recipes_share_the_proven_primes(monkeypatch):
+    # 19 proven by qr_starter is not tested again as the q of pq_starter.
+    calls = _record_primality_tests(monkeypatch)
+    qr_starter(19)
+    assert calls == [19]
+    pq_starter(11, 19)
+    assert calls == [19, 11]
+
+
+def test_a_prime_above_the_bound_is_not_kept(monkeypatch):
+    # n < 1 skips the bound of the prime-power recipes, and p is tested
+    # before n is refused: the memo keeps only primes up to the bound.
+    calls = _record_primality_tests(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(HypothesisViolation, match="^n must be >= 1, got 0$"):
+            prime_power_starter(1000003, 0)
+    assert calls == [1000003, 1000003]
+    assert constructions._proven_primes == set()
+
+
+# Every refusal of the hypothesis layer with its full text: each _require
+# site at least once, both refusals of _require_bounded and normalize_beta.
+_REFUSALS = (
+    (qr_starter, (True,), HypothesisViolation, "p must be an int, got True"),
+    (pq_starter, (11, 19.0), HypothesisViolation, "q must be an int, got 19.0"),
+    (prime_power_starter, (11, 2.0), HypothesisViolation, "n must be an int, got 2.0"),
+    (cyclotomic_starter, (281, True), HypothesisViolation, "k must be an int, got True"),
+    (check_two_in_coset, (281, 617, 3, 3.0), HypothesisViolation, "r must be an int, got 3.0"),
+    (qr_starter, (1000003,), BoundExceeded, "modulus 1000003 exceeds the construction bound 1000000"),
+    (
+        prime_power_starter,
+        (11, 10**8),
+        BoundExceeded,
+        "modulus 11^100000000 exceeds the construction bound 1000000",
+    ),
+    (
+        check_minus_one_coset,
+        (281, 1000003, 3, 3),
+        BoundExceeded,
+        "prime 1000003 exceeds the construction bound 1000000",
+    ),
+    (constructions.normalize_beta, (2.0,), ValueError, "unrecognized beta 2.0"),
+    (qr_starter, (19, 3), HypothesisViolation, "beta must be 2 or '2inv'"),
+    (qr_starter, (35,), HypothesisViolation, "p = 35 is not prime"),
+    (pq_starter, (11, 35), HypothesisViolation, "q = 35 is not prime"),
+    (qr_starter, (7,), HypothesisViolation, "p = 7 must be 3 (mod 8)"),
+    (horton_starter, (13, 2), HypothesisViolation, "p = 13 must be 3 (mod 4)"),
+    (pq_starter, (11, 23), HypothesisViolation, "q = 23 must be 3 (mod 8)"),
+    (qr_starter, (3,), HypothesisViolation, "p = 3 is excluded"),
+    (pq_starter, (11, 3), HypothesisViolation, "q = 3 is excluded"),
+    (cyclotomic_starter, (281, 2), HypothesisViolation, "k must be >= 3, got 2"),
+    (cyclotomic_starter, (289, 3), HypothesisViolation, "p = 289 is not prime"),
+    (pq_cyclotomic_starter, (281, 289, 3), HypothesisViolation, "q = 289 is not prime"),
+    (check_two_in_coset, (283, 617, 3, 3), HypothesisViolation, "2^3 does not divide p - 1 = 282"),
+    (check_two_in_coset, (281, 283, 3, 3), HypothesisViolation, "2^3 does not divide q - 1 = 282"),
+    (cyclotomic_starter, (17, 3), HypothesisViolation, "(p-1)/2^3 = 2 must be odd"),
+    (check_minus_one_coset, (281, 17, 3, 3), HypothesisViolation, "(q-1)/2^3 = 2 must be odd"),
+    (cyclotomic_starter, (17, 4), HypothesisViolation, "(p-1)/2^4 must exceed 1"),
+    (cyclotomic_starter, (41, 3), HypothesisViolation, "2 is not in the class r^4 <r^8> mod 41"),
+    (pq_starter, (19, 11), HypothesisViolation, "need p < q, got (19, 11)"),
+    (pq_starter, (11, 131), HypothesisViolation, "(p-1) = 10 divides (q-1) = 130"),
+    (horton_starter, (11, 0), HypothesisViolation, "beta must be a unit"),
+    (horton_starter, (11, 4), HypothesisViolation, "beta = 4 is a quadratic residue mod 11"),
+    (horton_starter, (11, 10), HypothesisViolation, "beta = -1 is excluded"),
+    (prime_power_starter, (11, 0), HypothesisViolation, "n must be >= 1, got 0"),
+    (prime_power_cyclotomic_starter, (281, 3, 0), HypothesisViolation, "n must be >= 1, got 0"),
+    (check_minus_one_coset, (617, 281, 3, 3), HypothesisViolation, "need t1 < t2"),
+    (
+        check_minus_one_coset,
+        (281, 617, 3, 2),
+        HypothesisViolation,
+        "r = 2 is not a quadratic non-residue mod 281",
+    ),
+    (check_two_in_coset, (281, 281, 3, 3), HypothesisViolation, "p and q must be distinct, got 281 twice"),
+    (
+        check_two_in_coset,
+        (281, 617, 3, 2),
+        HypothesisViolation,
+        "r = 2 must be a common primitive root of 281 and 617",
+    ),
+    (check_two_in_coset, (281, 89, 3, 3), HypothesisViolation, "2 is not in the class r^4 <r^8> mod 89"),
+)
+
+
+@pytest.mark.parametrize(
+    "call,args,error,text", _REFUSALS, ids=[f"{call.__name__}{args}" for call, args, *_ in _REFUSALS]
+)
+def test_every_refusal_has_its_exact_text(call, args, error, text):
+    with pytest.raises(error, match=f"^{re.escape(text)}$"):
+        call(*args)
 
 
 # ---- doubling orbits ---------------------------------------------------------------
