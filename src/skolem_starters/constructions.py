@@ -36,21 +36,21 @@ what their hypotheses leave open: nothing for -1, and for
 check_two_in_coset the logs of 2 mod p and mod q, each taken in the
 subgroup of order gcd(p-1, q-1).
 
-A modulus, or a coset certificate's prime, above _CONSTRUCTION_BOUND
-raises BoundExceeded before any arithmetic.  Hypothesis checks come
-next and raise HypothesisViolation; every successful construction is
-then self-verified before it is returned, so an invalid object can
-never escape: a doubling multiplier (2 or its inverse) must pass all
-four verifiers, and any other horton multiplier must give a strong
-starter.  A failure raises
-CoverageFailure with the witnesses.
+Every argument is refused before any arithmetic: a parameter that is
+not a plain int, or an n < 1, raises HypothesisViolation, and then a
+modulus, or a coset certificate's prime, above _CONSTRUCTION_BOUND
+raises BoundExceeded.  Hypothesis checks come next and raise
+HypothesisViolation; every successful construction is then
+self-verified before it is returned, so an invalid object can never
+escape: a doubling multiplier (2 or its inverse) must pass all four
+verifiers, and any other horton multiplier must give a strong starter.
+A failure raises CoverageFailure with the witnesses.
 
-A hypothesis check formats its message only when it refuses.  Each
-prime is proven once per process: _require_prime, the one primality
-test here, keeps a set of the primes it has proven, keyed on p alone,
-so a prime proven as q is not tested again as p.  A refusal is never
-stored, nor a prime above the construction bound, so the set holds at
-most the 78 498 primes up to it.
+This module keeps no state.  A hypothesis check formats its message
+only when it refuses, and _require_prime proves an odd prime through
+modnt's memo of the factorization of p - 1, the one the primitive-root
+search reads: each prime is proven once per process for the whole
+library, whatever name a message gives it.
 """
 
 from __future__ import annotations
@@ -60,10 +60,11 @@ from dataclasses import dataclass, fields, replace
 from typing import Any
 
 from .modnt import (
+    _root_exponents,
     discrete_log,
     find_primitive_root,
     in_half_class,
-    is_prime,
+    InvalidModulus,
     is_primitive_root,
     lift_primitive_root,
 )
@@ -134,14 +135,15 @@ def normalize_beta(beta: int | str) -> int | str:
 def _require_bounded(p: int, q: int = 1, n: int = 1, *, each_prime: bool = False, **others: int) -> None:
     """First check of every recipe and certificate, before any arithmetic:
     p, q, n and the others are plain ints, not bools or other int
-    subclasses, as normalize_beta asks of beta (HypothesisViolation);
-    the modulus (pq)^n, or with each_prime both primes, is at most
-    _CONSTRUCTION_BOUND (BoundExceeded), a huge n refused before the
-    power is built."""
+    subclasses, as normalize_beta asks of beta, and n >= 1
+    (HypothesisViolation); the modulus (pq)^n, or with each_prime both
+    primes, is at most _CONSTRUCTION_BOUND (BoundExceeded), a huge n
+    refused before the power is built."""
     for key, value in (("p", p), ("q", q), ("n", n), *others.items()):
         _require(type(value) is int, "{} must be an int, got {!r}", key, value)
+    _require(n >= 1, "n must be >= 1, got {}", n)
     for m in (p, q) if each_prime else (p * q,):
-        if n > _CONSTRUCTION_BOUND.bit_length() or n > 0 and m**n > _CONSTRUCTION_BOUND:
+        if n > _CONSTRUCTION_BOUND.bit_length() or m**n > _CONSTRUCTION_BOUND:
             shown = m if n == 1 else f"{m}^{n}"
             name = "prime" if each_prime else "modulus"
             raise BoundExceeded(f"{name} {shown} exceeds the construction bound {_CONSTRUCTION_BOUND}")
@@ -160,19 +162,15 @@ def _beta_multiplier(beta: int | str, modulus: int) -> int:
     return int(beta) % modulus
 
 
-# The primes _require_prime has proven, keyed on p alone: a prime proven
-# as q is not tested again as p.  A refusal raises before p is stored.
-_proven_primes: set[int] = set()
-
-
 def _require_prime(p: int, name: str) -> None:
-    """p is a prime; the only primality test of this module."""
-    if p not in _proven_primes:
-        _require(is_prime(p), "{} = {} is not prime", name, p)
-        # Every recipe bounds p first, but the prime-power recipes test p
-        # before refusing an n < 1, which skips the bound.
-        if p <= _CONSTRUCTION_BOUND:
-            _proven_primes.add(p)
+    """p is a prime.  An odd p is proven by modnt's memo, the call
+    find_primitive_root makes; 2 is left to the congruence and 2-adic
+    checks, which refuse it."""
+    if p != 2:
+        try:
+            _root_exponents(p)
+        except InvalidModulus:
+            raise HypothesisViolation(f"{name} = {p} is not prime") from None
 
 
 def _require_qr_prime(p: int, name: str = "p", mod: int = 8) -> None:
@@ -397,7 +395,6 @@ def prime_power_starter(p: int, n: int, beta: int | str = BETA_TWO) -> Starter:
     """
     _require_bounded(p, n=n)
     _require_qr_prime(p)
-    _require(n >= 1, "n must be >= 1, got {}", n)
     beta = _doubling_beta(beta)
     root = lift_primitive_root(p, n)
     recipe = Recipe(method="prime_power", p=p, n=n, beta=beta, root=root)
@@ -414,7 +411,6 @@ def prime_power_cyclotomic_starter(
     """
     _require_bounded(p, n=n, k=k)
     _cyclotomic_prime(p, k)
-    _require(n >= 1, "n must be >= 1, got {}", n)
     beta = _doubling_beta(beta)
     root = lift_primitive_root(p, n)
     recipe = Recipe(method="prime_power_cyclotomic", p=p, k=k, n=n, beta=beta, root=root)

@@ -196,7 +196,34 @@ def test_verify_huge_modulus_with_one_pair_exits_2_at_once(capsys):
     assert err == "error: modulus 1000000000001 needs 500000000000 pairs, got 1\n"
 
 
+def test_verify_human_output_lists_every_witness_and_the_pairs_in_order(capsys):
+    # Not Skolem, so the pairs are listed in (lo, hi) order, not by difference.
+    code, out, err = run(capsys, "verify", "--modulus", "7", "--pairs", "1,2;1,3;4,6")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "modulus 7: 3 pairs",
+        "verdicts: starter=False strong=False skolem=False cardioidal=False",
+        "witness[starter]: element 1 occurs 2 times among pair members",
+        "witness[strong]: pairs (1, 2) and (4, 6) share sum 3 mod 7",
+        "witness[skolem]: integer difference 2 occurs 2 times",
+        "witness[cardioidal]: pair (1, 3) is not a doubling pair mod 7",
+        "  (1, 2)",
+        "  (1, 3)",
+        "  (4, 6)",
+    ]
+
+
 # ---- scan -----------------------------------------------------------------------
+
+
+def test_scan_human_output(capsys):
+    code, out, err = run(capsys, "scan", "--kind", "qr-primes", "--limit", "40")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "qr-primes up to 40: 2 hit(s)",
+        "  {'p': 11} {'p_mod_8': 3, 'ord2': 10}",
+        "  {'p': 19} {'p_mod_8': 3, 'ord2': 18}",
+    ]
 
 
 def test_scan_qr_primes(capsys):
@@ -297,6 +324,20 @@ def test_search_nonexistent_exits_1(capsys):
     code, out, _ = run(capsys, "search", "--modulus", "5")
     assert code == 1
     assert "nonexistent (exhausted)" in out
+
+
+def test_search_human_output_lists_the_starter_by_difference(capsys):
+    code, out, err = run(capsys, "search", "--modulus", "9")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "modulus 9: 4 pairs",
+        "verdicts: starter=True strong=False skolem=True cardioidal=True",
+        "witness[strong]: pairs (1, 5) and (2, 4) share sum 6 mod 9",
+        "  d=1: (7, 8)",
+        "  d=2: (2, 4)",
+        "  d=3: (3, 6)",
+        "  d=4: (1, 5)",
+    ]
 
 
 def test_search_found_json(capsys):

@@ -1,12 +1,16 @@
 import functools
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from skolem_starters import constructions
+from skolem_starters import constructions, modnt
 from skolem_starters.constructions import (
     _CONSTRUCTION_BOUND,
     _in_half_shift,
@@ -405,7 +409,7 @@ def test_two_in_coset_certificate():
 
 def test_two_in_coset_refuses_equal_primes(monkeypatch):
     # 281^2 is no two-prime modulus: refused before any primality test or log.
-    for name in ("is_prime", "is_primitive_root", "discrete_log", "in_half_class"):
+    for name in ("_root_exponents", "is_primitive_root", "discrete_log", "in_half_class"):
         monkeypatch.setattr(constructions, name, None)
     with pytest.raises(HypothesisViolation, match="must be distinct"):
         check_two_in_coset(281, 281, 3, 3)
@@ -541,7 +545,7 @@ def test_construction_bound(monkeypatch):
     assert 4 * max(281 * 617, 281**2) < _CONSTRUCTION_BOUND
     # Refused before any arithmetic: no primality test, no root, no p^n.  The
     # first two and the pq pair meet every hypothesis of their recipes.
-    monkeypatch.setattr(constructions, "is_prime", None)
+    monkeypatch.setattr(constructions, "_root_exponents", None)
     for build, args in (
         (qr_starter, (1000003,)),
         (horton_starter, (1000003, 2)),
@@ -579,7 +583,7 @@ def test_every_recipe_refuses_a_bool_or_float_integer_parameter(monkeypatch):
     # The rule normalize_beta and Starter.from_pairs apply: True == 1,
     # 2.0 == 2 and _Int(11) == 11, yet all are refused, before any
     # primality test, root or log.
-    for name in ("is_prime", "is_primitive_root", "find_primitive_root", "discrete_log", "in_half_class"):
+    for name in ("_root_exponents", "is_primitive_root", "find_primitive_root", "discrete_log", "in_half_class"):
         monkeypatch.setattr(constructions, name, None)
     for build, args in _INTEGER_CALLS:
         for i in range(len(args)):
@@ -661,7 +665,7 @@ def test_the_walk_writes_the_columns_of_the_pair_list_walk(monkeypatch):
 def test_coset_certificate_bound(monkeypatch):
     # Each prime is bounded, not pq: scans certify pairs with pq near 4 * 10^8.
     # Refused before any primality test, factorization or discrete log.
-    for name in ("is_prime", "is_primitive_root", "discrete_log", "in_half_class"):
+    for name in ("_root_exponents", "is_primitive_root", "discrete_log", "in_half_class"):
         monkeypatch.setattr(constructions, name, None)
     big = _CONSTRUCTION_BOUND + 1
     for check in (check_minus_one_coset, check_two_in_coset):
@@ -677,17 +681,21 @@ def test_a_second_certificate_on_the_same_primes_tests_no_primality(monkeypatch)
     def refuse(m):
         raise AssertionError(f"is_prime({m}) called")
 
-    monkeypatch.setattr(constructions, "is_prime", refuse)
+    monkeypatch.setattr(modnt, "is_prime", refuse)
     assert check_minus_one_coset(281, 617, 3, 3) is True
     assert check_two_in_coset(281, 617, 3, 3) is True
 
 
 def _record_primality_tests(monkeypatch) -> list[int]:
-    """Start from an empty memo of proven primes, whatever ran before, and
-    record each number constructions tests for primality."""
-    monkeypatch.setattr(constructions, "_proven_primes", set())
-    is_prime, calls = constructions.is_prime, []
-    monkeypatch.setattr(constructions, "is_prime", lambda m: calls.append(m) or is_prime(m))
+    """Start from an empty modnt memo of proven primes, whatever ran
+    before, and record each number the library tests for primality,
+    through every module that binds is_prime."""
+    memo = functools.cache(modnt._odd_prime_exponents.__wrapped__)
+    monkeypatch.setattr(modnt, "_odd_prime_exponents", memo)
+    is_prime, calls = modnt.is_prime, []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("skolem_starters") and getattr(module, "is_prime", None) is is_prime:
+            monkeypatch.setattr(module, "is_prime", lambda m: calls.append(m) or is_prime(m))
     return calls
 
 
@@ -725,15 +733,44 @@ def test_the_qr_recipes_share_the_proven_primes(monkeypatch):
     assert calls == [19, 11]
 
 
-def test_a_prime_above_the_bound_is_not_kept(monkeypatch):
-    # n < 1 skips the bound of the prime-power recipes, and p is tested
-    # before n is refused: the memo keeps only primes up to the bound.
+def test_n_below_one_is_refused_before_any_primality_test(monkeypatch):
+    # n < 1 is refused with the bound, before p is tested: nothing enters
+    # the memo, which keeps only primes up to the bound.
     calls = _record_primality_tests(monkeypatch)
     for _ in range(2):
         with pytest.raises(HypothesisViolation, match="^n must be >= 1, got 0$"):
             prime_power_starter(1000003, 0)
-    assert calls == [1000003, 1000003]
-    assert constructions._proven_primes == set()
+    assert calls == []
+    assert modnt._odd_prime_exponents.cache_info().currsize == 0
+
+
+# _record_primality_tests in a fresh interpreter, where no module of the
+# library has proven anything yet: the recipe runs and prints what was
+# tested.
+_PRIMALITY_TESTS_OF = """
+import pytest
+from skolem_starters import constructions
+from test_constructions import _record_primality_tests
+calls = _record_primality_tests(pytest.MonkeyPatch())
+constructions.{}
+print(calls)
+"""
+
+
+@pytest.mark.parametrize(
+    "call,tested", [("qr_starter(19)", [19]), ("pq_cyclotomic_starter(281, 617, 3)", [281, 617])]
+)
+def test_each_prime_is_proven_once_by_the_library(call, tested):
+    # The hypothesis check and the primitive-root search share one proof.
+    here = Path(__file__).resolve().parent
+    paths = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _PRIMALITY_TESTS_OF.format(call)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{tested}\n"
 
 
 # Every refusal of the hypothesis layer with its full text: each _require
@@ -782,6 +819,13 @@ _REFUSALS = (
     (horton_starter, (11, 10), HypothesisViolation, "beta = -1 is excluded"),
     (prime_power_starter, (11, 0), HypothesisViolation, "n must be >= 1, got 0"),
     (prime_power_cyclotomic_starter, (281, 3, 0), HypothesisViolation, "n must be >= 1, got 0"),
+    # n < 1 is refused with the bound, before p, too large to test, is tested.
+    (prime_power_starter, (2**64 + 3, 0), HypothesisViolation, "n must be >= 1, got 0"),
+    (prime_power_cyclotomic_starter, (2**64 + 3, 3, 0), HypothesisViolation, "n must be >= 1, got 0"),
+    # 2 is prime, and the congruence or the 2-adic check refuses it.
+    (qr_starter, (2,), HypothesisViolation, "p = 2 must be 3 (mod 8)"),
+    (cyclotomic_starter, (2, 3), HypothesisViolation, "2^3 does not divide p - 1 = 1"),
+    (check_two_in_coset, (2, 617, 3, 3), HypothesisViolation, "2^3 does not divide p - 1 = 1"),
     (check_minus_one_coset, (617, 281, 3, 3), HypothesisViolation, "need t1 < t2"),
     (
         check_minus_one_coset,

@@ -130,6 +130,17 @@ def test_order_rejects_non_units():
         multiplicative_order(6, 9)
 
 
+def test_refusals_of_factorize_order_and_discrete_log_have_their_exact_text():
+    with pytest.raises(ValueError, match="^cannot factor 0$"):
+        factorize(0)
+    with pytest.raises(InvalidModulus, match="^modulus must be >= 2, got 1$"):
+        multiplicative_order(2, 1)
+    with pytest.raises(InvalidModulus, match="^modulus must be >= 2, got 1$"):
+        discrete_log(2, 3, 1, 1)
+    with pytest.raises(NotAUnit, match="^3 is not a unit mod 9$"):
+        discrete_log(2, 3, 9, 6)
+
+
 @settings(max_examples=200, deadline=None)
 @given(m=st.integers(min_value=3, max_value=4000), x=st.integers(min_value=2, max_value=10**6))
 def test_order_matches_successive_powers(m, x):

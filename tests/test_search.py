@@ -169,6 +169,11 @@ def test_scan_pq_pairs_qr_mode_refuses_k():
         scan_pq_pairs(60, "qr", 3)
 
 
+def test_scan_pq_pairs_refuses_an_unknown_mode():
+    with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+        scan_pq_pairs(100, "bogus")
+
+
 # Each scan and search with a valid call; every keyword named is an integer.
 _INTEGER_CALLS = (
     (scan_qr_primes, {"limit": 60}),
@@ -447,6 +452,11 @@ def test_search_and_enumeration_results_die_with_the_last_reference():
 
 def test_enumerate_3():
     assert enumerate_starters(3) == [Starter.from_pairs(3, [(1, 2)])]
+
+
+def test_enumerate_refuses_an_even_modulus():
+    with pytest.raises(ValueError, match="^modulus must be odd and >= 3, got 4$"):
+        enumerate_starters(4)
 
 
 def test_enumerate_5_has_no_skolem_starter():
