@@ -38,8 +38,8 @@ subgroup of order gcd(p-1, q-1).
 
 Every argument is refused before any arithmetic: a parameter that is
 not a plain int, or an n < 1, raises HypothesisViolation, and then a
-modulus, or a coset certificate's prime, above _CONSTRUCTION_BOUND
-raises BoundExceeded.  Hypothesis checks come next and raise
+modulus, or any one prime, above _CONSTRUCTION_BOUND raises
+BoundExceeded.  Hypothesis checks come next and raise
 HypothesisViolation; every successful construction is then
 self-verified before it is returned, so an invalid object can never
 escape: a doubling multiplier (2 or its inverse) must pass all four
@@ -49,8 +49,9 @@ A failure raises CoverageFailure with the witnesses.
 This module keeps no state.  A hypothesis check formats its message
 only when it refuses, and _require_prime proves an odd prime through
 modnt's memo of the factorization of p - 1, the one the primitive-root
-search reads: each prime is proven once per process for the whole
-library, whatever name a message gives it.
+search reads: each prime is proven once per process for the recipes,
+the certificates and the primitive-root search, whatever name a
+message gives it.
 """
 
 from __future__ import annotations
@@ -136,16 +137,20 @@ def _require_bounded(p: int, q: int = 1, n: int = 1, *, each_prime: bool = False
     """First check of every recipe and certificate, before any arithmetic:
     p, q, n and the others are plain ints, not bools or other int
     subclasses, as normalize_beta asks of beta, and n >= 1
-    (HypothesisViolation); the modulus (pq)^n, or with each_prime both
-    primes, is at most _CONSTRUCTION_BOUND (BoundExceeded), a huge n
-    refused before the power is built."""
+    (HypothesisViolation); the modulus (pq)^n, unless each_prime, and
+    both primes are at most _CONSTRUCTION_BOUND (BoundExceeded), a huge
+    n refused before the power is built.  Each prime is bounded on its
+    own, so a q <= 0 cannot carry a p above the bound to a primality
+    test."""
     for key, value in (("p", p), ("q", q), ("n", n), *others.items()):
         _require(type(value) is int, "{} must be an int, got {!r}", key, value)
     _require(n >= 1, "n must be >= 1, got {}", n)
-    for m in (p, q) if each_prime else (p * q,):
+    bounded = (("prime", p), ("prime", q))
+    if not each_prime:
+        bounded = (("modulus", p * q), *bounded)
+    for name, m in bounded:
         if n > _CONSTRUCTION_BOUND.bit_length() or m**n > _CONSTRUCTION_BOUND:
             shown = m if n == 1 else f"{m}^{n}"
-            name = "prime" if each_prime else "modulus"
             raise BoundExceeded(f"{name} {shown} exceeds the construction bound {_CONSTRUCTION_BOUND}")
 
 

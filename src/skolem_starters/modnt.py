@@ -30,10 +30,10 @@ result for the same arguments and are safe to call concurrently.  The
 one state kept is a memo of the factorization of p - 1 for each odd
 prime p a primitive-root test has seen, so a scan that tests many
 roots of one prime factors p - 1 once; no result depends on it.  A
-refusal raises and is never kept.  The memo is also the library's one
-proof of primality: constructions proves its primes through it, so
-from constructions it holds at most the 78 498 primes up to the
-construction bound.
+refusal raises and is never kept.  The memo is also constructions'
+one proof of primality: constructions proves its primes through it,
+after bounding each of them, so from constructions it holds at most
+the 78 498 primes up to the construction bound.
 """
 
 from __future__ import annotations

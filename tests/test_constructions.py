@@ -1,12 +1,9 @@
 import functools
 import hashlib
 import math
-import os
 import re
-import subprocess
 import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -675,7 +672,8 @@ def test_coset_certificate_bound(monkeypatch):
 
 
 def test_a_second_certificate_on_the_same_primes_tests_no_primality(monkeypatch):
-    # The shape of each prime is proved once and memoized.
+    # Each prime is proven once, in modnt's memo; the shape checks are
+    # plain arithmetic on the proven primes.
     assert check_minus_one_coset(281, 617, 3, 3) and check_two_in_coset(281, 617, 3, 3)
 
     def refuse(m):
@@ -744,33 +742,29 @@ def test_n_below_one_is_refused_before_any_primality_test(monkeypatch):
     assert modnt._odd_prime_exponents.cache_info().currsize == 0
 
 
-# _record_primality_tests in a fresh interpreter, where no module of the
-# library has proven anything yet: the recipe runs and prints what was
-# tested.
-_PRIMALITY_TESTS_OF = """
-import pytest
-from skolem_starters import constructions
-from test_constructions import _record_primality_tests
-calls = _record_primality_tests(pytest.MonkeyPatch())
-constructions.{}
-print(calls)
-"""
+def test_a_prime_above_the_bound_is_refused_whatever_q_is(monkeypatch):
+    # p is bounded on its own: a q <= 0 leaves pq under the bound, and p,
+    # prime and 3 (mod 8), must still not be tested or kept.
+    calls = _record_primality_tests(monkeypatch)
+    for q in (-1, 0):
+        with pytest.raises(BoundExceeded, match="^prime 1000003 exceeds the construction bound 1000000$"):
+            pq_starter(1000003, q)
+        with pytest.raises(BoundExceeded, match="^prime 1000033 exceeds the construction bound 1000000$"):
+            pq_cyclotomic_starter(1000033, q, 3)
+    assert calls == []
+    assert modnt._odd_prime_exponents.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize(
-    "call,tested", [("qr_starter(19)", [19]), ("pq_cyclotomic_starter(281, 617, 3)", [281, 617])]
+    "call,args,tested",
+    [(qr_starter, (19,), [19]), (pq_cyclotomic_starter, (281, 617, 3), [281, 617])],
+    ids=["qr_starter(19)", "pq_cyclotomic_starter(281, 617, 3)"],
 )
-def test_each_prime_is_proven_once_by_the_library(call, tested):
+def test_each_prime_is_proven_once_by_the_library(monkeypatch, call, args, tested):
     # The hypothesis check and the primitive-root search share one proof.
-    here = Path(__file__).resolve().parent
-    paths = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    proc = subprocess.run(
-        [sys.executable, "-c", _PRIMALITY_TESTS_OF.format(call)],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == f"{tested}\n"
+    calls = _record_primality_tests(monkeypatch)
+    call(*args)
+    assert calls == tested
 
 
 # Every refusal of the hypothesis layer with its full text: each _require
@@ -822,6 +816,15 @@ _REFUSALS = (
     # n < 1 is refused with the bound, before p, too large to test, is tested.
     (prime_power_starter, (2**64 + 3, 0), HypothesisViolation, "n must be >= 1, got 0"),
     (prime_power_cyclotomic_starter, (2**64 + 3, 3, 0), HypothesisViolation, "n must be >= 1, got 0"),
+    # Each prime is bounded on its own, whatever pq is.
+    (pq_starter, (1000003, -1), BoundExceeded, "prime 1000003 exceeds the construction bound 1000000"),
+    (
+        pq_cyclotomic_starter,
+        (2**64 + 3, -1, 3),
+        BoundExceeded,
+        "prime 18446744073709551619 exceeds the construction bound 1000000",
+    ),
+    (pq_starter, (11, -1), HypothesisViolation, "q = -1 is not prime"),
     # 2 is prime, and the congruence or the 2-adic check refuses it.
     (qr_starter, (2,), HypothesisViolation, "p = 2 must be 3 (mod 8)"),
     (cyclotomic_starter, (2, 3), HypothesisViolation, "2^3 does not divide p - 1 = 1"),
