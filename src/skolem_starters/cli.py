@@ -21,7 +21,6 @@ from .starters import (
     classify,
     Starter,
     starter_from_json,
-    starter_to_dict,
     starter_to_json,
     verify_starter,
 )
@@ -169,14 +168,13 @@ def _run_search(args: argparse.Namespace) -> int:
         timeout=args.timeout,
     )
     if args.json:
-        docs = [starter_to_dict(s.with_metadata(classification=classify(s))) for s in found]
-        _emit(
-            {
-                "modulus": args.modulus,
-                "require_strong": args.strong,
-                "found": len(found),
-                "starters": docs,
-            }
+        # json.dumps(report, indent=2), with each starter written by
+        # starter_to_json and indented to its place in the array.
+        docs = [starter_to_json(s.with_metadata(classification=classify(s))) for s in found]
+        starters = "[\n    " + ",\n".join(docs).replace("\n", "\n    ") + "\n  ]" if docs else "[]"
+        print(
+            f'{{\n  "modulus": {json.dumps(args.modulus)},\n  "require_strong": {json.dumps(args.strong)},\n'
+            f'  "found": {len(found)},\n  "starters": {starters}\n}}'
         )
     elif found:
         for s in found:

@@ -1,8 +1,9 @@
 """Parameter scans and exhaustive brute-force oracles at small moduli.
 
 The scanners find primes / prime pairs admissible for the doubling
-constructions (the cyclotomic scan walks p = 2^k t + 1, t odd, and
-tests 2 with modnt.in_half_class), each refusing with BoundExceeded
+constructions (the cyclotomic scan walks p = 2^k t + 1, t odd, tests
+2 with modnt.in_half_class and proves each prime once, in modnt's
+memo), each refusing with BoundExceeded
 a scan of more than 10^6 candidates.  The exhaustive searcher settles
 Skolem and strong Skolem existence for a single small modulus
 (n <= 1001) by complete backtracking over bitmasks of the free
@@ -23,14 +24,14 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 from .modnt import (
+    _root_exponents,
     find_primitive_root,
     in_half_class,
     InvalidModulus,
-    is_prime,
     is_primitive_root,
     multiplicative_order,
 )
@@ -132,8 +133,18 @@ def _cyclotomic_primes(k: int, limit: int) -> list[int]:
     _require_scan_bound(limit >> (k + 1), f"cyclotomic-primes up to {limit}")
     delta = 1 << k
     # The one-pow class test first: it refuses most terms before the
-    # costlier primality test, and both are free of side effects.
-    return [p for p in range(3 << k | 1, limit + 1, 2 << k) if in_half_class(2, p, p - 1, delta) and is_prime(p)]
+    # costlier primality test.  That test fills modnt's memo, where
+    # find_primitive_root and is_primitive_root find each hit proven.
+    return [p for p in range(3 << k | 1, limit + 1, 2 << k) if in_half_class(2, p, p - 1, delta) and _odd_prime(p)]
+
+
+def _odd_prime(p: int) -> bool:
+    """Whether p is an odd prime, proven once in modnt's memo."""
+    try:
+        _root_exponents(p)
+    except InvalidModulus:
+        return False
+    return True
 
 
 def scan_cyclotomic_primes(k: int, limit: int) -> ScanReport:
@@ -425,7 +436,7 @@ def enumerate_starters(n: int) -> list[Starter]:
             if ok:
                 # A fresh copy: the result keeps no verification pass
                 # that only this check asked for.
-                found.append(replace(cand))
+                found.append(Starter(n, cand.lows, cand.highs))
             return
         a = 1
         while used[a]:

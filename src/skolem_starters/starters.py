@@ -26,6 +26,14 @@ and kept on it, which classify and each verify_* function read.  A
 Classification stores only the witnesses, and a decoded classification
 is checked.
 
+starter_to_json writes the document from its fixed layout, byte for
+byte json.dumps(starter_to_dict(s), indent=2): the modulus and pairs
+fill %d templates, a missing recipe or classification is null, and a
+Classification fills one template with its five booleans and its
+witness strings, each through json.dumps without an indent (the C
+encoder).  Only a recipe object (a Recipe's dict, or whatever object a
+decoded document carried) still goes through json.dumps(indent=2).
+
 Verifiers return (verdict, witness): the witness is the first
 offending element / difference / sum / pair, kept small on purpose --
 it exists for debugging, not for enumerating every failure.
@@ -36,7 +44,7 @@ from __future__ import annotations
 import json
 import operator
 from collections.abc import Iterable, Sized
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from typing import Any, NamedTuple
 
@@ -146,7 +154,9 @@ class Starter:
                    tuple([key % modulus for key in ordered]))
 
     def with_metadata(self, recipe: Any = None, classification: "Classification | None" = None) -> "Starter":
-        copy = replace(self, recipe=recipe, classification=classification)
+        # The constructor: dataclasses.replace costs about twice as
+        # much, and every decode makes a copy.
+        copy = type(self)(self.modulus, self.lows, self.highs, recipe, classification)
         # Same pairs, same verdicts: the copy keeps a pass already made.
         object.__setattr__(copy, "_witnesses", self._witnesses)
         return copy
@@ -337,20 +347,19 @@ def negate_starter(s: Starter) -> Starter:
 # is byte-identical to json.dumps(starter_to_dict(s), indent=2).
 
 
-def _attachments(s: Starter) -> tuple[Any, dict[str, Any] | None]:
+def _recipe_value(s: Starter) -> Any:
+    """The recipe as its document holds it: a Recipe as its dict."""
     recipe = s.recipe
-    if recipe is not None and hasattr(recipe, "to_dict"):
-        recipe = recipe.to_dict()
-    return recipe, s.classification.to_dict() if s.classification else None
+    return recipe.to_dict() if recipe is not None and hasattr(recipe, "to_dict") else recipe
 
 
 def starter_to_dict(s: Starter) -> dict[str, Any]:
-    recipe, classification = _attachments(s)
+    cls = s.classification
     return {
         "modulus": s.modulus,
         "pairs": list(map(list, zip(s.lows, s.highs))),
-        "recipe": recipe,
-        "classification": classification,
+        "recipe": _recipe_value(s),
+        "classification": None if cls is None else cls.to_dict(),
     }
 
 
@@ -394,8 +403,14 @@ def starter_from_dict(doc: dict[str, Any]) -> Starter:
     return s.with_metadata(recipe=recipe, classification=computed)
 
 
-# One pair as json.dumps(indent=2) lays it out inside the document.
+# The layouts json.dumps(indent=2) gives the document's parts: one
+# pair, and a classification one level down.
 _PAIR_JSON = "    [\n      %d,\n      %d\n    ]"
+_CLASSIFICATION_JSON = (
+    '{\n    "starter": %s,\n    "strong": %s,\n    "skolem": %s,\n    "cardioidal": %s,\n'
+    '    "dependent": %s,\n    "witnesses": %s\n  }'
+)
+_JSON_BOOLS = ("false", "true")
 
 
 def _nested(value: Any) -> str:
@@ -403,16 +418,32 @@ def _nested(value: Any) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n  ")
 
 
+def _classification_json(cls: Classification) -> str:
+    """cls.to_dict() as _nested lays it out, from its fixed layout: each
+    witness string goes through json.dumps without an indent, which
+    takes the C encoder."""
+    witnesses = cls.witnesses
+    written = "{}"
+    if witnesses:
+        written = "{\n" + ",\n".join(
+            [f"      {json.dumps(name)}: {json.dumps(w)}" for name, w in witnesses.items()]) + "\n    }"
+    verdicts = [_JSON_BOOLS[name not in witnesses] for name in _VERDICTS]
+    return _CLASSIFICATION_JSON % (*verdicts, _JSON_BOOLS["starter" in witnesses], written)
+
+
 def starter_to_json(s: Starter) -> str:
-    recipe, classification = _attachments(s)
+    """json.dumps(starter_to_dict(s), indent=2), written from the
+    document's layout (the module docstring says which parts)."""
+    recipe, cls = _recipe_value(s), s.classification
     pairs = "[]"
     if s.lows:
         # One format call over lo, hi, lo, hi, ... fills every pair.
         layout = ",\n".join([_PAIR_JSON] * len(s.lows))
         pairs = "[\n" + layout % tuple(chain.from_iterable(zip(s.lows, s.highs))) + "\n  ]"
     return (
-        f'{{\n  "modulus": {json.dumps(s.modulus)},\n  "pairs": {pairs},\n'
-        f'  "recipe": {_nested(recipe)},\n  "classification": {_nested(classification)}\n}}'
+        f'{{\n  "modulus": {s.modulus:d},\n  "pairs": {pairs},\n'
+        f'  "recipe": {"null" if recipe is None else _nested(recipe)},\n'
+        f'  "classification": {"null" if cls is None else _classification_json(cls)}\n}}'
     )
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from skolem_starters import constructions, search
 from skolem_starters.cli import _METHODS, main
+from skolem_starters.starters import classify, starter_to_dict
 from test_starters import Z19_PAIRS
 
 
@@ -395,6 +396,33 @@ def test_search_json_keeps_its_bytes(capsys, argv, digest, exit_code):
     code, out, _ = run(capsys, "search", *argv, "--json")
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _search_report(n, strong, find_all):
+    """The --json report of a search, as a dict built from starter_to_dict."""
+    found = search.exhaustive_skolem_search(n, require_strong=strong, find_all=find_all)
+    docs = [starter_to_dict(s.with_metadata(classification=classify(s))) for s in found]
+    return {"modulus": n, "require_strong": strong, "found": len(found), "starters": docs}
+
+
+@pytest.mark.parametrize("find_all", [False, True], ids=["first", "all"])
+@pytest.mark.parametrize("strong", [False, True], ids=["plain", "strong"])
+def test_search_json_is_the_report_laid_out_by_json_dumps(capsys, strong, find_all):
+    # The report is written from its layout, one starter document at a
+    # time: byte for byte json.dumps(report, indent=2), found or empty.
+    flags = ["--strong"] * strong + ["--all"] * find_all
+    for n in range(3, 22, 2):
+        report = _search_report(n, strong, find_all)
+        code, out, err = run(capsys, "search", "--modulus", str(n), *flags, "--json")
+        assert (code, err) == (0 if report["found"] else 1, "")
+        assert out == json.dumps(report, indent=2) + "\n"
+
+
+def test_search_json_empty_report(capsys):
+    code, out, err = run(capsys, "search", "--modulus", "23", "--json")
+    assert (code, err) == (1, "")
+    assert out == json.dumps(_search_report(23, False, False), indent=2) + "\n"
+    assert json.loads(out)["starters"] == []
 
 
 # ---- selftest ---------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 from skolem_starters import search
 from skolem_starters.constructions import qr_starter
-from skolem_starters.modnt import InvalidModulus, multiplicative_order
+from skolem_starters.modnt import in_half_class, InvalidModulus, multiplicative_order
 from skolem_starters.search import (
     BoundExceeded,
     enumerate_starters,
@@ -21,6 +21,7 @@ from skolem_starters.search import (
     SearchTimeout,
 )
 from skolem_starters.starters import classify, negate_starter, Starter, verify_skolem, verify_strong
+from test_constructions import _record_primality_tests
 from oracles import backtrack_skolem_search, naive_dlog, naive_order, trial_division_prime
 
 
@@ -67,6 +68,30 @@ def test_scan_cyclotomic_matches_independent_predicate():
             expected.append(p)
     assert expected == [281, 617]
     assert [h.params["p"] for h in scan_cyclotomic_primes(3, 700).hits] == expected
+
+
+@pytest.mark.parametrize(
+    "scan,args,primes",
+    [(scan_cyclotomic_primes, (3, 3000), 12), (scan_pq_pairs, (20000, "cyclotomic", 3), 69)],
+    ids=["scan_cyclotomic_primes(3, 3000)", "scan_pq_pairs(20000, 'cyclotomic', 3)"],
+)
+def test_each_scanned_prime_is_proven_once(monkeypatch, scan, args, primes):
+    # The filter's proof is modnt's memo, where the roots find it again.
+    calls = _record_primality_tests(monkeypatch)
+    scan(*args)
+    assert len(calls) == len(set(calls)) == primes
+
+
+def test_a_composite_in_the_half_class_is_refused_and_not_kept(monkeypatch):
+    # 233017 = 8 * 29127 + 1, the least composite that passes the class
+    # test of 2 at k = 3: the memo refuses it on each scan and keeps only
+    # the primes, each proven once over both scans.
+    calls = _record_primality_tests(monkeypatch)
+    assert in_half_class(2, 233017, 233016, 8)
+    primes = search._cyclotomic_primes(3, 233017)
+    assert search._cyclotomic_primes(3, 233017) == primes
+    assert 233017 not in primes
+    assert calls.count(233017) == 2 and len(calls) == len(primes) + 2
 
 
 # ---- common primitive roots -----------------------------------------------------
@@ -194,7 +219,7 @@ def test_every_scan_and_search_refuses_a_bool_or_float_integer_argument(monkeypa
     # The rule the recipes keep: True == 1, 60.0 == 60 and _Int(60) == 60,
     # yet all are refused by name, before any sieve, primality test, root
     # or recursion.
-    for name in ("_primes_upto", "is_prime", "is_primitive_root", "find_primitive_root", "multiplicative_order"):
+    for name in ("_primes_upto", "_root_exponents", "is_primitive_root", "find_primitive_root", "multiplicative_order"):
         monkeypatch.setattr(search, name, None)
     for call, kwargs in _INTEGER_CALLS:
         for name, value in kwargs.items():

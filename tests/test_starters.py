@@ -453,6 +453,48 @@ def test_json_is_byte_stable(z19):
     assert json.loads(a)["modulus"] == 19
 
 
+# Strings with quotes, backslashes, control and non-ASCII characters,
+# and any JSON value built from them: a decoded document's recipe object.
+_JSON_TEXT = st.text(st.sampled_from('a"\\/\x00\x1f\n\t\x7f\u00e9\u2028\U0001f600') | st.characters(), max_size=6)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | _JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_JSON_TEXT, inner, max_size=3),
+    max_leaves=12,
+)
+# Pair sets whose classifications have no witness (Z_11, Z_19), one
+# (Z_3, not strong) and all four (a near-miss of Z_7).
+_DOCUMENT_PAIRS = [(3, [(1, 2)]), (7, [(1, 2), (1, 3), (4, 6)]), (11, Z11_PAIRS), (19, Z19_PAIRS)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pairs=st.sampled_from(_DOCUMENT_PAIRS),
+    recipe=st.none() | st.dictionaries(_JSON_TEXT, _JSON_VALUES, max_size=4),
+    classified=st.booleans(),
+)
+def test_starter_to_json_lays_out_decoded_documents_as_json_dumps_does(pairs, recipe, classified):
+    n, ps = pairs
+    cls = classify(Starter.from_pairs(n, ps)).to_dict() if classified else None
+    doc = {"modulus": n, "pairs": [list(pr) for pr in ps], "recipe": recipe, "classification": cls}
+    s = starter_from_json(json.dumps(doc))
+    assert starter_to_json(s) == json.dumps(starter_to_dict(s), indent=2)
+    assert starter_from_json(starter_to_json(s)).recipe == s.recipe
+
+
+def test_with_metadata_keeps_the_type_the_pairs_and_the_verification_pass(z19):
+    class Sub(Starter):
+        pass
+
+    s = Sub.from_pairs(19, Z19_PAIRS)
+    cls = classify(s)
+    copy = s.with_metadata(recipe={"method": "qr"}, classification=cls)
+    assert type(copy) is Sub
+    assert copy == s and hash(copy) == hash(s)
+    assert (copy.recipe, copy.classification) == ({"method": "qr"}, cls)
+    assert copy._witnesses is s._witnesses is not None
+    assert z19.with_metadata()._witnesses is None
+
+
 # The document of Z_3 = {(1, 2)} with its classification, and edits that
 # make the classification something other than the one its pair gives.
 Z3_DOC = {
