@@ -56,10 +56,6 @@ def _refuse_unused(args: argparse.Namespace, names: Iterable[str], context: str)
             raise UsageError(f"{context} takes no --{name}")
 
 
-def _emit(doc: dict[str, Any]) -> None:
-    print(json.dumps(doc, indent=2))
-
-
 def _print_starter_human(s: Starter) -> None:
     cls = s.classification or classify(s)
     pairs = s.pairs
@@ -140,6 +136,43 @@ def _run_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if verified else EXIT_NEGATIVE
 
 
+def _json_at(value: Any, pad: str) -> str:
+    """value as json.dumps(indent=2) lays it out below a line indented by pad."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+
+
+def _members_layout(keys: tuple[str, ...]) -> str:
+    """A %s template of a hit's params or certificates with these keys."""
+    if not keys:
+        return "{}"
+    members = [f"        {json.dumps(key).replace('%', '%%')}: %s" for key in keys]
+    return "{\n" + ",\n".join(members) + "\n      }"
+
+
+def _scan_json(report: search.ScanReport) -> str:
+    """json.dumps(report.to_dict(), indent=2), written from the report's
+    layout: each hit fills the template of its keys, made once per key
+    layout, with an int written by str and any other value by json.dumps."""
+    layouts: dict[tuple[tuple[str, ...], tuple[str, ...]], str] = {}
+    hits = []
+    for hit in report.hits:
+        params, certificates = hit.params, hit.certificates
+        keys = (tuple(params), tuple(certificates))
+        layout = layouts.get(keys)
+        if layout is None:
+            layout = layouts[keys] = (
+                f'    {{\n      "params": {_members_layout(keys[0])},\n'
+                f'      "certificates": {_members_layout(keys[1])}\n    }}'
+            )
+        values = (*params.values(), *certificates.values())
+        hits.append(layout % tuple([v if type(v) is int else _json_at(v, "        ") for v in values]))
+    written = "[\n" + ",\n".join(hits) + "\n  ]" if hits else "[]"
+    return (
+        f'{{\n  "kind": {_json_at(report.kind, "  ")},\n  "bound": {_json_at(report.bound, "  ")},\n'
+        f'  "hits": {written}\n}}'
+    )
+
+
 def _run_scan(args: argparse.Namespace) -> int:
     if args.kind == "qr-primes":
         _refuse_unused(args, ("k",), "scan --kind qr-primes")
@@ -152,7 +185,7 @@ def _run_scan(args: argparse.Namespace) -> int:
         mode = "cyclotomic" if args.k is not None else "qr"
         report = search.scan_pq_pairs(args.limit, mode=mode, k=args.k)
     if args.json:
-        _emit(report.to_dict())
+        print(_scan_json(report))
     else:
         print(f"{report.kind} up to {report.bound}: {len(report.hits)} hit(s)")
         for hit in report.hits:

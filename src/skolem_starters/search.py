@@ -147,6 +147,17 @@ def _odd_prime(p: int) -> bool:
     return True
 
 
+def _order_of_2(p: int) -> int:
+    """ord_p(2) for an odd prime p, read from the factorization of p - 1
+    in modnt's memo instead of factoring p and p - 1 again."""
+    order = p - 1
+    for e in _root_exponents(p):
+        f = (p - 1) // e
+        while order % f == 0 and pow(2, order // f, p) == 1:
+            order //= f
+    return order
+
+
 def scan_cyclotomic_primes(k: int, limit: int) -> ScanReport:
     """Primes p = 2^k * t + 1 <= limit (t odd > 1) with 2 in the class
     r^(2^(k-1)) <r^(2^k)>, that is, class index of 2 exactly 2^(k-1)."""
@@ -157,7 +168,7 @@ def scan_cyclotomic_primes(k: int, limit: int) -> ScanReport:
                 "t": (p - 1) >> k,
                 "root": find_primitive_root(p),
                 "index2": 1 << (k - 1),
-                "ord2": multiplicative_order(2, p),
+                "ord2": _order_of_2(p),
             },
         )
         for p in _cyclotomic_primes(k, limit)
@@ -233,11 +244,24 @@ def scan_pq_pairs(limit: int, mode: str = "qr", k: int | None = None) -> ScanRep
 # bound keeps that well inside the interpreter's recursion limit.
 _SEARCH_BOUND = 1001
 _ENUMERATION_BOUND = 15
-# The dead-state table of the plain search: its slot count, a prime, and
-# the deepest level it holds, the same for every n.  65 521 slots are a
-# 0.5 MB list.
+# The dead-state table of the plain search: its two slot counts, both
+# prime, and the deepest level it holds.  Slot key % S holds
+# key // (2 S), at most (2^(n-2) - 1) // S for a key below 2^(n-1).
+# When 2^(n-2) <= 255 * _DEAD_BYTE_SLOTS (every n <= 29) that fits in
+# 0..254, and the table is a 514 KB bytearray of just over 2^27 / 255
+# slots, with 255 for empty.  A wider n takes a list of _DEAD_SLOTS,
+# with -1 for empty: 0.5 MB of pointers, plus an int object for each
+# stored value above 256.
+_DEAD_BYTE_SLOTS = 526367
 _DEAD_SLOTS = 65521
 _DEAD_DEPTH = 6
+
+
+def _dead_table(n: int) -> bytearray | list[int]:
+    """The empty dead-state table of the plain search at modulus n."""
+    if 1 << (n - 2) <= 255 * _DEAD_BYTE_SLOTS:
+        return bytearray(b"\xff") * _DEAD_BYTE_SLOTS
+    return [-1] * _DEAD_SLOTS
 
 
 def exhaustive_skolem_search(
@@ -275,15 +299,18 @@ def exhaustive_skolem_search(
     i, .., 1 on the positions of `free` depends on `free` alone, for
     i < k, and on it only up to translation: plain positions are the
     integers 1..n-1, with no wrap-around.  So at 2 <= i <= _DEAD_DEPTH
-    the key is free // (free & -free), whose popcount 2i also names the
-    level.  A subproblem is dead when its subtree added no solution:
-    it returned False in first-found mode, and in find_all mode, where
-    leaf returns False, the solution count did not change.  Either way
-    it has no completion, so skipping it loses nothing.  The table has
-    _DEAD_SLOTS slots whatever n is.  Slot key % _DEAD_SLOTS holds
-    key // _DEAD_SLOTS, which with the slot gives back the whole key,
-    and a new key overwrites the old: a collision only evicts, so it
-    can miss a hit but never makes a live subproblem dead.  The caller
+    the key is free // (free & -free), an odd number below 2^(n-1)
+    whose popcount 2i also names the level.  A subproblem is dead when
+    its subtree added no solution: it returned False in first-found
+    mode, and in find_all mode, where leaf returns False, the solution
+    count did not change.  Either way it has no completion, so
+    skipping it loses nothing.  The table has a fixed number of slots
+    (_dead_table): S = _DEAD_BYTE_SLOTS one-byte slots when every
+    stored value fits in a byte, n <= 29, and a list of S = _DEAD_SLOTS
+    slots for a wider n.  Slot key % S holds key // (2 S): the key and
+    S are odd, so the slot and that quotient give back the whole key.
+    A new key overwrites the old: a collision only evicts, so it can
+    miss a hit but never makes a live subproblem dead.  The caller
     tests the table, so a hit costs no call.  The table is allocated
     at the first refill of the clock budget below, so a search of under
     4096 candidates allocates none.  strong keeps no table: its
@@ -321,17 +348,20 @@ def exhaustive_skolem_search(
     budget = 4096
     # Bits 1..(k + 1) // 2: the a the top pair (a, a + k) may take.
     top = (2 << (k + 1) // 2) - 2
-    # plain's dead-state table, slot -> key // _DEAD_SLOTS (-1: empty),
-    # and the highest level whose loop tests its children in it; 0 and
-    # no table until the first refill.
-    dead: list[int] = []
+    # plain's dead-state table, slot -> key // span, its slot count S,
+    # span = 2 S, and the highest level whose loop tests its children in
+    # it; 0 and no table until the first refill.
+    dead: bytearray | list[int] = []
+    slots = span = 1
     dead_top = 0
 
     def tick() -> None:
-        nonlocal budget, dead, dead_top
+        nonlocal budget, dead, slots, span, dead_top
         budget += 4096
         if not dead_top and not require_strong:
-            dead = [-1] * _DEAD_SLOTS
+            dead = _dead_table(n)
+            slots = len(dead)
+            span = 2 * slots
             dead_top = min(_DEAD_DEPTH + 1, k)
         if deadline is not None and time.monotonic() > deadline:
             raise SearchTimeout(f"search at modulus {n} exceeded {timeout} s")
@@ -356,8 +386,8 @@ def exhaustive_skolem_search(
                 cand ^= low
                 rest = free ^ (low | low << i)
                 key = rest // (rest & -rest)
-                slot = key % _DEAD_SLOTS
-                key //= _DEAD_SLOTS
+                slot = key % slots
+                key //= span
                 if dead[slot] == key:
                     continue
                 chosen[i - 1] = low

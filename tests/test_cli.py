@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skolem_starters import constructions, search
+from skolem_starters import cli, constructions, search
 from skolem_starters.cli import _METHODS, main
 from skolem_starters.starters import classify, starter_to_dict
 from test_starters import Z19_PAIRS
@@ -316,6 +316,61 @@ def test_scan_pq_pairs(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["hits"][0]["params"] == {"p": 11, "q": 19}
+
+
+_scan_cases = st.one_of(
+    st.tuples(st.just("qr-primes"), st.none(), st.integers(0, 20000)),
+    st.tuples(st.just("cyclotomic-primes"), st.integers(3, 7), st.integers(0, 200000)),
+    st.tuples(st.just("pq-pairs"), st.none(), st.integers(0, 1000)),
+    st.tuples(st.just("pq-pairs"), st.integers(3, 5), st.integers(0, 20000)),
+)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(case=_scan_cases)
+def test_scan_json_is_the_encoders_layout(case):
+    # scan --json writes each hit from its template; the bytes are those
+    # of json.dumps(indent=2) over the report, for every scan kind.
+    kind, k, limit = case
+    if kind == "qr-primes":
+        report = search.scan_qr_primes(limit)
+    elif kind == "cyclotomic-primes":
+        report = search.scan_cyclotomic_primes(k, limit)
+    else:
+        report = search.scan_pq_pairs(limit, mode="qr" if k is None else "cyclotomic", k=k)
+    argv = ["scan", f"--kind={kind}", f"--limit={limit}"] + [f"--k={k}"] * (k is not None) + ["--json"]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert (code, err.getvalue()) == (0 if report.hits else 1, "")
+    assert out.getvalue() == json.dumps(report.to_dict(), indent=2) + "\n"
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    kind=st.text(),
+    bound=_json_values,
+    hits=st.lists(
+        st.builds(
+            search.ScanHit,
+            params=st.dictionaries(st.text(), _json_values, max_size=3),
+            certificates=st.dictionaries(st.text(), _json_values, max_size=3),
+        ),
+        max_size=4,
+    ),
+)
+def test_scan_json_writes_any_value_as_the_encoder_does(kind, bound, hits):
+    # A value that is not an int (bools too) goes through json.dumps at
+    # its depth, and a key holding "%" does not break its template.
+    report = search.ScanReport(kind=kind, bound=bound, hits=tuple(hits))
+    assert cli._scan_json(report) == json.dumps(report.to_dict(), indent=2)
 
 
 # ---- search ---------------------------------------------------------------------

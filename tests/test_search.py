@@ -2,6 +2,7 @@ import functools
 import gc
 import itertools
 import math
+import sys
 import tracemalloc
 import weakref
 
@@ -52,6 +53,16 @@ def test_scan_cyclotomic_primes_fixed_ranges():
     assert hits[0].certificates["index2"] == 4
     with pytest.raises(ValueError):
         scan_cyclotomic_primes(2, 300)
+
+
+def test_cyclotomic_ord2_matches_multiplicative_order():
+    # The scan reads ord_p(2) from the factorization of p - 1 in modnt's
+    # memo; multiplicative_order factors p and p - 1 afresh.
+    for k in (3, 4, 5, 6):
+        hits = scan_cyclotomic_primes(k, 200000).hits
+        assert hits
+        for hit in hits:
+            assert hit.certificates["ord2"] == multiplicative_order(2, hit.params["p"]), hit
 
 
 def test_scan_cyclotomic_matches_independent_predicate():
@@ -219,7 +230,9 @@ def test_every_scan_and_search_refuses_a_bool_or_float_integer_argument(monkeypa
     # The rule the recipes keep: True == 1, 60.0 == 60 and _Int(60) == 60,
     # yet all are refused by name, before any sieve, primality test, root
     # or recursion.
-    for name in ("_primes_upto", "_root_exponents", "is_primitive_root", "find_primitive_root", "multiplicative_order"):
+    for name in (
+        "_primes_upto", "_root_exponents", "is_primitive_root", "find_primitive_root", "multiplicative_order", "_order_of_2"
+    ):
         monkeypatch.setattr(search, name, None)
     for call, kwargs in _INTEGER_CALLS:
         for name, value in kwargs.items():
@@ -299,7 +312,7 @@ def test_search_without_timeout_never_reads_the_clock(monkeypatch):
 
 
 def test_search_reads_the_clock_once_per_4096_candidates(monkeypatch):
-    # The plain n = 21 proof charges 71 447 candidates (185 184 without
+    # The plain n = 21 proof charges 65 380 candidates (185 184 without
     # the dead-state table): a clock read per call or per placement would
     # exceed the bound.
     reads = []
@@ -316,11 +329,20 @@ def test_search_reads_the_clock_once_per_4096_candidates(monkeypatch):
 
 def test_search_results_do_not_depend_on_the_dead_state_table(monkeypatch):
     # A dead entry only skips a subtree that added no solution, so the
-    # table off (depth 0), on, and with one slot, where every write
-    # evicts and every read can collide, gives the same list in the same
-    # order.  Plain n = 41 is the least first-found search with a
-    # solution that passes one clock budget, when the table is allocated.
-    tables = {"off": {"_DEAD_DEPTH": 0}, "on": {}, "one slot": {"_DEAD_SLOTS": 1}}
+    # table off (depth 0), on, and crowded gives the same list in the
+    # same order.  Two crowded tables: the list layout with one slot,
+    # where every write evicts and every read can collide, reached from
+    # n = 31 on; and a byte table of 8 231 slots, the least prime S with
+    # 2^21 <= 255 S, so every value the n <= 23 runs store just fits a
+    # byte and most writes evict.  Plain n = 41 is the least first-found
+    # search with a solution that passes one clock budget, when the
+    # table is allocated.
+    tables = {
+        "off": {"_DEAD_DEPTH": 0},
+        "on": {},
+        "one slot": {"_DEAD_SLOTS": 1},
+        "crowded bytes": {"_DEAD_BYTE_SLOTS": 8231},
+    }
     runs = [(n, strong, every) for n in range(3, 22, 2) for strong in (False, True) for every in (False, True)]
     runs += [(n, False, False) for n in (23, 25, 27, 41)]
     results = {}
@@ -331,19 +353,35 @@ def test_search_results_do_not_depend_on_the_dead_state_table(monkeypatch):
             results[name] = [
                 exhaustive_skolem_search(n, require_strong=strong, find_all=every) for n, strong, every in runs
             ]
-    for run, on, off, one in zip(runs, results["on"], results["off"], results["one slot"]):
-        assert on == off == one, run
+    for run, *lists in zip(runs, *results.values()):
+        assert all(found == lists[0] for found in lists), run
     assert results["on"][runs.index((23, False, False))] == []
 
 
+def test_dead_state_table_takes_bytes_while_every_value_fits():
+    # A key is odd and below 2^(n-1), and its slot holds key // (2 S),
+    # at most (2^(n-2) - 1) // S: bytes hold it up to n = 29, with 255
+    # left for empty.  From n = 31 the table is the list, -1 for empty.
+    for n in (3, 5, 21, 23, 27, 29):
+        table = search._dead_table(n)
+        assert type(table) is bytearray and len(table) == search._DEAD_BYTE_SLOTS, n
+        assert (2 ** (n - 2) - 1) // len(table) <= 254, n
+        assert table.count(255) == len(table), n
+    assert (2**29 - 1) // search._DEAD_BYTE_SLOTS > 254
+    for n in (31, 33, 57, 1001):
+        assert search._dead_table(n) == [-1] * search._DEAD_SLOTS, n
+
+
 def test_dead_state_table_is_fixed_in_size_and_freed():
-    # The table's memory depends on _DEAD_SLOTS and not on n: the two
-    # plain proofs peak at its size plus frames and working ints, and no
-    # call keeps it.  A search of under 4096 candidates allocates none.
+    # The two plain proofs peak at the byte table's size plus frames and
+    # working ints, so the table is allocated without a temporary copy,
+    # and no call keeps it.  A search of under 4096 candidates allocates
+    # none.
     slack = 1 << 14
+    table = sys.getsizeof(search._dead_table(23))
     runs = (
-        (functools.partial(exhaustive_skolem_search, 23), search._DEAD_SLOTS * 8 + slack),
-        (functools.partial(exhaustive_skolem_search, 21, find_all=True), search._DEAD_SLOTS * 8 + slack),
+        (functools.partial(exhaustive_skolem_search, 23), table + slack),
+        (functools.partial(exhaustive_skolem_search, 21, find_all=True), table + slack),
         (functools.partial(exhaustive_skolem_search, 25), slack),
     )
     tracemalloc.start()
@@ -401,7 +439,7 @@ def test_pq_pairs_refused_before_any_certificate(monkeypatch):
     def no_certificates(*args):
         raise AssertionError("certificate computed before the pair bound")
 
-    monkeypatch.setattr(search, "multiplicative_order", no_certificates)
+    monkeypatch.setattr(search, "_order_of_2", no_certificates)
     monkeypatch.setattr(search, "find_primitive_root", no_certificates)
     monkeypatch.setattr(search, "_SCAN_BOUND", 5000)
     with pytest.raises(BoundExceeded, match="pq-pairs up to 5000: 13861 candidates exceed the scan bound"):
