@@ -23,6 +23,10 @@ lambda and certifies the columns:
            root: its orbits are p * (units mod q), q * (units mod p)
            and the cosets of <r>; the second unit leader is lambda
 
+The recipe a starter carries is a Recipe, a NamedTuple, so
+Recipe("qr", 19) == ("qr", 19, None, None, None, None, None, None) and
+recipes compare and hash as plain tuples.
+
 Doubling and negation both map the kept half of an orbit onto the
 other half when 2 and -1 lie in the half-shift class
 r^(delta/2) <r^delta>.  The hypotheses place them there mod p, and
@@ -57,8 +61,7 @@ message gives it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
-from typing import Any
+from typing import Any, NamedTuple
 
 from .modnt import (
     _root_exponents,
@@ -89,8 +92,7 @@ class CoverageFailure(RuntimeError):
     """The walked pairs do not form a starter with the promised verdicts."""
 
 
-@dataclass(frozen=True)
-class Recipe:
+class Recipe(NamedTuple):
     """Method name plus every parameter needed to reproduce a starter."""
 
     method: str
@@ -103,12 +105,12 @@ class Recipe:
     root: int | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        return {key: getattr(self, name) for key, name in _RECIPE_KEYS}
+        return dict(zip(_RECIPE_KEYS, self))
 
 
 # The JSON key of each Recipe field, in field order; "lambda" is a Python
-# keyword.  Read once: fields() on every to_dict would triple its cost.
-_RECIPE_KEYS = tuple(("lambda" if f.name == "lam" else f.name, f.name) for f in fields(Recipe))
+# keyword.
+_RECIPE_KEYS = tuple("lambda" if name == "lam" else name for name in Recipe._fields)
 
 
 def _require(condition: bool, message: str, *args: object) -> None:
@@ -328,7 +330,7 @@ def _certified(modulus: int, root: int, delta: int, recipe: Recipe) -> Starter:
     """
     mult = _beta_multiplier(recipe.beta, modulus)
     lows, highs, leaders = _walk(modulus, root, delta, mult)
-    recipe = replace(recipe, lam=next((c for c in leaders[1:] if math.gcd(c, modulus) == 1), None))
+    recipe = recipe._replace(lam=next((c for c in leaders[1:] if math.gcd(c, modulus) == 1), None))
     s = Starter(modulus, lows, highs)
     cls = classify(s)
     doubling = mult in (2, (modulus + 1) >> 1)

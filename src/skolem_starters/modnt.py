@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class NotAUnit(ValueError):
@@ -269,8 +269,7 @@ def crt_inverse(a: int, b: int, p: int, q: int) -> int:
     return (a * q * pow(q, -1, p) + b * p * pow(p, -1, q)) % n
 
 
-@dataclass(frozen=True)
-class GroupContext:
+class GroupContext(NamedTuple):
     """Modulus together with its factor shape and a chosen generator.
 
     Built by for_prime_power: shape is "prime_power", factor_data is

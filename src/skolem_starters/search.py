@@ -17,6 +17,9 @@ translation.  The search uses neither the n mod 8 law nor a parity
 argument, so it stays an independent check of that law.
 enumerate_starters lists every starter outright as an independent
 cross-check of both the verifiers and the searcher.
+
+A scan returns a ScanReport of ScanHits.  Both are NamedTuples, so
+they compare as plain tuples of their fields.
 """
 
 from __future__ import annotations
@@ -24,8 +27,7 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from .modnt import (
     _root_exponents,
@@ -66,8 +68,7 @@ def _require_ints(**values: Any) -> None:
             raise ValueError(f"{name} must be an int, got {value!r}")
 
 
-@dataclass(frozen=True)
-class ScanHit:
+class ScanHit(NamedTuple):
     params: dict[str, int]
     certificates: dict[str, Any]
 
@@ -75,11 +76,10 @@ class ScanHit:
         return {"params": dict(self.params), "certificates": dict(self.certificates)}
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     kind: str
     bound: int
-    hits: tuple[ScanHit, ...] = field(default=())
+    hits: tuple[ScanHit, ...] = ()
 
     def to_dict(self) -> dict[str, Any]:
         return {

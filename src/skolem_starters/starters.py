@@ -44,7 +44,6 @@ from __future__ import annotations
 import json
 import operator
 from collections.abc import Iterable, Sized
-from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from typing import Any, NamedTuple
 
@@ -66,8 +65,10 @@ Verdict = tuple[bool, "str | None"]
 # many small starters stay on the key set, which allocates less.
 _COUNTING_MIN_PAIRS = 64
 
+# Writes a slot of an immutable Starter, past its __setattr__.
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
 class Starter:
     """A candidate starter: odd modulus plus canonically sorted pairs.
 
@@ -75,17 +76,53 @@ class Starter:
     (lo, hi) order; build one with from_pairs (the constructions pass
     the columns of their walk, which they then certify).  recipe and
     classification are optional attachments (filled in by the
-    construction layer); they never take part in equality, so two
-    starters are equal exactly when their pair sets coincide.
+    construction layer); they never take part in equality, hashing or
+    the repr, so two starters are equal exactly when their pair sets
+    coincide.  A Starter is immutable: assigning or deleting an
+    attribute raises AttributeError.
     """
+
+    # __weakref__: callers may hold a starter weakly.
+    __slots__ = ("modulus", "lows", "highs", "recipe", "classification", "_witnesses", "__weakref__")
 
     modulus: int
     lows: tuple[int, ...]
     highs: tuple[int, ...]
-    recipe: Any = field(default=None, compare=False, repr=False)
-    classification: "Classification | None" = field(default=None, compare=False, repr=False)
+    recipe: Any
+    classification: "Classification | None"
     # The witnesses of the one verification pass, which _verdict keeps.
-    _witnesses: "tuple[str | None, ...] | None" = field(default=None, init=False, compare=False, repr=False)
+    _witnesses: "tuple[str | None, ...] | None"
+
+    def __init__(self, modulus: int, lows: tuple[int, ...], highs: tuple[int, ...],
+                 recipe: Any = None, classification: "Classification | None" = None) -> None:
+        _set(self, "modulus", modulus)
+        _set(self, "lows", lows)
+        _set(self, "highs", highs)
+        _set(self, "recipe", recipe)
+        _set(self, "classification", classification)
+        _set(self, "_witnesses", None)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.modulus, self.lows, self.highs) == (other.modulus, other.lows, other.highs)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.modulus, self.lows, self.highs))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(modulus={self.modulus!r}, lows={self.lows!r}, highs={self.highs!r})"
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # The default reduction restores slots by assignment, which
+        # __setattr__ refuses; pickle and copy rebuild through __init__.
+        return type(self), (self.modulus, self.lows, self.highs, self.recipe, self.classification)
 
     @property
     def k(self) -> int:
@@ -154,11 +191,9 @@ class Starter:
                    tuple([key % modulus for key in ordered]))
 
     def with_metadata(self, recipe: Any = None, classification: "Classification | None" = None) -> "Starter":
-        # The constructor: dataclasses.replace costs about twice as
-        # much, and every decode makes a copy.
         copy = type(self)(self.modulus, self.lows, self.highs, recipe, classification)
         # Same pairs, same verdicts: the copy keeps a pass already made.
-        object.__setattr__(copy, "_witnesses", self._witnesses)
+        _set(copy, "_witnesses", self._witnesses)
         return copy
 
 
@@ -178,16 +213,36 @@ def _partner_columns(partner: list[int]) -> tuple[tuple[int, ...], tuple[int, ..
 _VERDICTS = ("starter", "strong", "skolem", "cardioidal")
 
 
-@dataclass
 class Classification:
     """Joint verdict of the four verifiers, stored as the failing ones'
     witnesses: a verdict holds exactly when its name has no witness.
+    Two classifications are equal when their witnesses are; a
+    Classification cannot be hashed.
 
     When is_starter is false the strong/Skolem verdicts are still
     computed but `dependent` is set: they describe a near-miss.
     """
 
+    __slots__ = ("witnesses",)
+
     witnesses: dict[str, str]
+
+    def __init__(self, witnesses: dict[str, str]) -> None:
+        self.witnesses = witnesses
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.witnesses == other.witnesses
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(witnesses={self.witnesses!r})"
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # Pickle protocols 0 and 1 refuse a slotted class by default.
+        return type(self), (self.witnesses,)
 
     is_starter = property(lambda self: "starter" not in self.witnesses)
     is_strong = property(lambda self: "strong" not in self.witnesses)
@@ -274,7 +329,7 @@ def _verify_all(s: Starter) -> tuple[str | None, str | None, str | None, str | N
 def _verdict(s: Starter, i: int) -> Verdict:
     """Verdict i of the one pass over s, made on first use and kept."""
     if s._witnesses is None:
-        object.__setattr__(s, "_witnesses", _verify_all(s))
+        _set(s, "_witnesses", _verify_all(s))
     witness = s._witnesses[i]
     return witness is None, witness
 

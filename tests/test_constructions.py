@@ -22,6 +22,7 @@ from skolem_starters.constructions import (
     prime_power_cyclotomic_starter,
     prime_power_starter,
     qr_starter,
+    Recipe,
 )
 from skolem_starters.modnt import find_primitive_root, in_half_class, multiplicative_order
 from skolem_starters.search import (
@@ -55,6 +56,16 @@ from test_starters import Z19_PAIRS, Z11_PAIRS
 
 def pair_set(s: Starter) -> set[tuple[int, int]]:
     return {(p.lo, p.hi) for p in s.pairs}
+
+
+def test_recipe_keeps_its_keywords_repr_document_keys_and_replace():
+    r = Recipe(method="pq", p=11, q=19, beta=2, lam=3, root=2)
+    assert pq_starter(11, 19, 2).recipe == r
+    assert repr(r) == "Recipe(method='pq', p=11, q=19, n=None, k=None, beta=2, lam=3, root=2)"
+    assert r.to_dict() == {"method": "pq", "p": 11, "q": 19, "n": None, "k": None,
+                           "beta": 2, "lambda": 3, "root": 2}
+    assert list(r.to_dict()) == ["method", "p", "q", "n", "k", "beta", "lambda", "root"]
+    assert r._replace(lam=5) == Recipe("pq", 11, 19, None, None, 2, 5, 2) and r.lam == 3
 
 
 # ---- horton_starter ---------------------------------------------------------

@@ -1,6 +1,11 @@
-import dataclasses
+import copy
 import json
+import pickle
+import subprocess
+import sys
 import time
+import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -226,7 +231,7 @@ def test_classification_verdicts_are_read_from_its_witnesses():
     # Every subset of the four names as the failing verifiers: each verdict
     # holds exactly when its name has no witness.
     names = ("starter", "strong", "skolem", "cardioidal")
-    assert [f.name for f in dataclasses.fields(Classification)] == ["witnesses"]
+    assert Classification.__slots__ == ("witnesses",)
     for mask in range(16):
         failing = [name for i, name in enumerate(names) if mask >> i & 1]
         witnesses = {name: f"{name} witness" for name in failing}
@@ -493,6 +498,58 @@ def test_with_metadata_keeps_the_type_the_pairs_and_the_verification_pass(z19):
     assert (copy.recipe, copy.classification) == ({"method": "qr"}, cls)
     assert copy._witnesses is s._witnesses is not None
     assert z19.with_metadata()._witnesses is None
+
+
+def test_starter_refuses_assignment_and_deletion_of_every_attribute(z19):
+    for name in ("modulus", "lows", "highs", "recipe", "classification", "_witnesses", "other"):
+        with pytest.raises(AttributeError):
+            setattr(z19, name, None)
+        with pytest.raises(AttributeError):
+            delattr(z19, name)
+    assert z19 == Starter.from_pairs(19, Z19_PAIRS)
+
+
+def test_starter_equality_hash_and_repr_ignore_its_attachments(z19):
+    s = z19.with_metadata(recipe={"method": "qr"}, classification=classify(z19))
+    assert s == z19 and hash(s) == hash(z19)
+    assert repr(s) == repr(z19) == (
+        "Starter(modulus=19, lows=(1, 2, 3, 5, 7, 8, 9, 11, 17), highs=(10, 4, 6, 12, 13, 16, 14, 15, 18))"
+    )
+    assert z19 != (19, z19.lows, z19.highs)
+    assert z19 != Starter.from_pairs(19, Z19_PAIRS[:-1] + [(1, 2)])
+
+
+def test_starter_can_be_held_weakly(z19):
+    ref = weakref.ref(z19)
+    assert ref() is z19
+
+
+def test_starter_pickles_and_copies_with_its_attachments():
+    s = qr_starter(19)
+    clones = [pickle.loads(pickle.dumps(s, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for clone in [*clones, copy.copy(s), copy.deepcopy(s)]:
+        assert type(clone) is Starter and clone == s
+        assert clone.recipe == s.recipe and clone.classification == s.classification
+        assert starter_to_json(clone) == starter_to_json(s)
+
+
+def test_classification_compares_by_its_witnesses_and_cannot_be_hashed():
+    a = Classification({"strong": "pair (1, 2) has sum 0 mod 3"})
+    assert a == Classification(dict(a.witnesses)) and a != Classification({})
+    assert a != a.witnesses
+    assert repr(a) == "Classification(witnesses={'strong': 'pair (1, 2) has sum 0 mod 3'})"
+    with pytest.raises(TypeError):
+        hash(a)
+
+
+def test_importing_the_library_loads_neither_dataclasses_nor_inspect():
+    # Either costs a fresh interpreter about 10 ms before any starter is built.
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import skolem_starters; "
+            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 # The document of Z_3 = {(1, 2)} with its classification, and edits that
