@@ -1,23 +1,26 @@
 """Command-line front end.
 
 Subcommands: construct, verify, scan, search, selftest.  With --json,
-stdout carries exactly one JSON document and diagnostics go to
-stderr.  Exit codes: 0 success / verified, 1 verification-negative or
-nothing found, 2 invalid parameters or hypothesis violation, 3 search
-timeout.
+stdout carries exactly one JSON document, laid out by the one rule in
+starters (_at, _object, _array), and diagnostics go to stderr.  Exit
+codes: 0 success / verified, 1 verification-negative or nothing found,
+2 invalid parameters or hypothesis violation, 3 search timeout.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import Any, Iterable
+from typing import Iterable
 
 from . import constructions, search
 from .constructions import CoverageFailure
 from .search import SearchTimeout
 from .starters import (
+    _array,
+    _at,
+    _object,
+    _recipe_value,
     classify,
     Starter,
     starter_from_json,
@@ -60,8 +63,8 @@ def _print_starter_human(s: Starter) -> None:
     cls = s.classification or classify(s)
     pairs = s.pairs
     print(f"modulus {s.modulus}: {len(pairs)} pairs")
-    if s.recipe is not None:
-        recipe = s.recipe.to_dict() if hasattr(s.recipe, "to_dict") else s.recipe
+    recipe = _recipe_value(s)
+    if recipe is not None:
         shown = {k: v for k, v in recipe.items() if v is not None}
         print(f"recipe: {shown}")
     print(
@@ -136,41 +139,25 @@ def _run_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if verified else EXIT_NEGATIVE
 
 
-def _json_at(value: Any, pad: str) -> str:
-    """value as json.dumps(indent=2) lays it out below a line indented by pad."""
-    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
-
-
-def _members_layout(keys: tuple[str, ...]) -> str:
-    """A %s template of a hit's params or certificates with these keys."""
-    if not keys:
-        return "{}"
-    members = [f"        {json.dumps(key).replace('%', '%%')}: %s" for key in keys]
-    return "{\n" + ",\n".join(members) + "\n      }"
+_SCAN_JSON = _object(("kind", "bound", "hits"), "")
+_HIT_JSON = _object(("params", "certificates"), "    ")
 
 
 def _scan_json(report: search.ScanReport) -> str:
-    """json.dumps(report.to_dict(), indent=2), written from the report's
-    layout: each hit fills the template of its keys, made once per key
-    layout, with an int written by str and any other value by json.dumps."""
+    """_at(report.to_dict(), ""), filled into the report's template:
+    each hit fills the template of its keys, made once per key layout,
+    with an int written by str and any other value by _at."""
     layouts: dict[tuple[tuple[str, ...], tuple[str, ...]], str] = {}
     hits = []
-    for hit in report.hits:
-        params, certificates = hit.params, hit.certificates
+    for params, certificates in report.hits:
         keys = (tuple(params), tuple(certificates))
         layout = layouts.get(keys)
         if layout is None:
-            layout = layouts[keys] = (
-                f'    {{\n      "params": {_members_layout(keys[0])},\n'
-                f'      "certificates": {_members_layout(keys[1])}\n    }}'
-            )
+            # _HIT_JSON's own keys hold no "%", so the filled template is one.
+            layout = layouts[keys] = _HIT_JSON % (_object(keys[0], "      "), _object(keys[1], "      "))
         values = (*params.values(), *certificates.values())
-        hits.append(layout % tuple([v if type(v) is int else _json_at(v, "        ") for v in values]))
-    written = "[\n" + ",\n".join(hits) + "\n  ]" if hits else "[]"
-    return (
-        f'{{\n  "kind": {_json_at(report.kind, "  ")},\n  "bound": {_json_at(report.bound, "  ")},\n'
-        f'  "hits": {written}\n}}'
-    )
+        hits.append(layout % tuple([v if type(v) is int else _at(v, "        ") for v in values]))
+    return _SCAN_JSON % (_at(report.kind, "  "), _at(report.bound, "  "), _array(hits, "  "))
 
 
 def _run_scan(args: argparse.Namespace) -> int:
@@ -193,6 +180,9 @@ def _run_scan(args: argparse.Namespace) -> int:
     return EXIT_OK if report.hits else EXIT_NEGATIVE
 
 
+_SEARCH_JSON = _object(("modulus", "require_strong", "found", "starters"), "")
+
+
 def _run_search(args: argparse.Namespace) -> int:
     found = search.exhaustive_skolem_search(
         args.modulus,
@@ -201,14 +191,10 @@ def _run_search(args: argparse.Namespace) -> int:
         timeout=args.timeout,
     )
     if args.json:
-        # json.dumps(report, indent=2), with each starter written by
-        # starter_to_json and indented to its place in the array.
-        docs = [starter_to_json(s.with_metadata(classification=classify(s))) for s in found]
-        starters = "[\n    " + ",\n".join(docs).replace("\n", "\n    ") + "\n  ]" if docs else "[]"
-        print(
-            f'{{\n  "modulus": {json.dumps(args.modulus)},\n  "require_strong": {json.dumps(args.strong)},\n'
-            f'  "found": {len(found)},\n  "starters": {starters}\n}}'
-        )
+        # Each starter document, laid out at the depth of its place in the array.
+        docs = [starter_to_json(s.with_metadata(classification=classify(s))).replace("\n", "\n    ")
+                for s in found]
+        print(_SEARCH_JSON % (_at(args.modulus, "  "), _at(args.strong, "  "), len(found), _array(docs, "  ")))
     elif found:
         for s in found:
             _print_starter_human(s)

@@ -26,13 +26,12 @@ and kept on it, which classify and each verify_* function read.  A
 Classification stores only the witnesses, and a decoded classification
 is checked.
 
-starter_to_json writes the document from its fixed layout, byte for
-byte json.dumps(starter_to_dict(s), indent=2): the modulus and pairs
-fill %d templates, a missing recipe or classification is null, and a
-Classification fills one template with its five booleans and its
-witness strings, each through json.dumps without an indent (the C
-encoder).  Only a recipe object (a Recipe's dict, or whatever object a
-decoded document carried) still goes through json.dumps(indent=2).
+One layout rule writes every JSON document the library emits, the
+starter document and cli's scan and search reports: _at lays a value
+out as the indented json.dumps does at a given depth, and every
+template comes from _object and _array, once per key layout.  Only a
+recipe object goes through the indented json.dumps, whose pure-Python
+encoder costs far more than the rest.
 
 Verifiers return (verdict, witness): the witness is the first
 offending element / difference / sum / pair, kept small on purpose --
@@ -44,7 +43,8 @@ from __future__ import annotations
 import json
 import operator
 from collections.abc import Iterable, Sized
-from itertools import chain, compress, repeat
+from functools import lru_cache
+from itertools import compress, repeat
 from typing import Any, NamedTuple
 
 
@@ -399,7 +399,7 @@ def negate_starter(s: Starter) -> Starter:
 # {"modulus": int, "pairs": [[lo, hi], ...], "recipe": {...}|null,
 #  "classification": {...}|null}
 # with pairs sorted ascending so output is byte-stable: starter_to_json
-# is byte-identical to json.dumps(starter_to_dict(s), indent=2).
+# is byte-identical to _at(starter_to_dict(s), "").
 
 
 def _recipe_value(s: Starter) -> Any:
@@ -418,7 +418,7 @@ def starter_to_dict(s: Starter) -> dict[str, Any]:
     }
 
 
-_DOCUMENT_KEYS = frozenset({"modulus", "pairs", "recipe", "classification"})
+_DOCUMENT_KEYS = ("modulus", "pairs", "recipe", "classification")
 
 
 def _same_json(value: Any, want: Any) -> bool:
@@ -458,48 +458,61 @@ def starter_from_dict(doc: dict[str, Any]) -> Starter:
     return s.with_metadata(recipe=recipe, classification=computed)
 
 
-# The layouts json.dumps(indent=2) gives the document's parts: one
-# pair, and a classification one level down.
-_PAIR_JSON = "    [\n      %d,\n      %d\n    ]"
-_CLASSIFICATION_JSON = (
-    '{\n    "starter": %s,\n    "strong": %s,\n    "skolem": %s,\n    "cardioidal": %s,\n'
-    '    "dependent": %s,\n    "witnesses": %s\n  }'
-)
+def _at(value: Any, pad: str) -> str:
+    """value as json.dumps(indent=2) lays it out below a line indented
+    by pad.  Only a non-empty array or object spans lines; anything else
+    is json.dumps(value), which takes the C encoder."""
+    if isinstance(value, (dict, list, tuple)):
+        return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+    return json.dumps(value)
+
+
+def _array(items: list[str], pad: str) -> str:
+    """An array of items, each already laid out below a line indented
+    by pad + "  ", as _at lays it out at pad.  From 64 items on, one join
+    makes it, brackets and all: a second copy costs more than the list."""
+    separator = f",\n  {pad}"
+    if len(items) < 64:
+        return f"[\n  {pad}{separator.join(items)}\n{pad}]" if items else "[]"
+    parts = [separator] * (2 * len(items) + 1)
+    parts[1::2] = items
+    parts[0], parts[-1] = f"[\n  {pad}", f"\n{pad}]"
+    return "".join(parts)
+
+
+@lru_cache(maxsize=64)
+def _object(keys: tuple[str, ...], pad: str) -> str:
+    """A %s template of an object with these keys, as _at lays it out at
+    pad, for values laid out by _at(value, pad + "  "); made once."""
+    members = [json.dumps(key).replace("%", "%%") + ": %s" for key in keys]
+    return "{" + _array(members, pad)[1:-1] + "}"
+
+
 _JSON_BOOLS = ("false", "true")
-
-
-def _nested(value: Any) -> str:
-    """value as json.dumps(indent=2) lays it out one level down."""
-    return json.dumps(value, indent=2).replace("\n", "\n  ")
+_DOCUMENT_JSON = _object(_DOCUMENT_KEYS, "")
+_CLASSIFICATION_JSON = _object((*_VERDICTS, "dependent", "witnesses"), "  ")
+_PAIR_JSON = _array(["%d", "%d"], "    ")
 
 
 def _classification_json(cls: Classification) -> str:
-    """cls.to_dict() as _nested lays it out, from its fixed layout: each
-    witness string goes through json.dumps without an indent, which
-    takes the C encoder."""
+    """cls.to_dict() as _at lays it out at "  "."""
     witnesses = cls.witnesses
-    written = "{}"
-    if witnesses:
-        written = "{\n" + ",\n".join(
-            [f"      {json.dumps(name)}: {json.dumps(w)}" for name, w in witnesses.items()]) + "\n    }"
+    written = _object(tuple(witnesses), "    ") % tuple([_at(w, "      ") for w in witnesses.values()])
     verdicts = [_JSON_BOOLS[name not in witnesses] for name in _VERDICTS]
     return _CLASSIFICATION_JSON % (*verdicts, _JSON_BOOLS["starter" in witnesses], written)
 
 
 def starter_to_json(s: Starter) -> str:
-    """json.dumps(starter_to_dict(s), indent=2), written from the
-    document's layout (the module docstring says which parts)."""
+    """_at(starter_to_dict(s), ""), filled into the document's template."""
     recipe, cls = _recipe_value(s), s.classification
-    pairs = "[]"
-    if s.lows:
-        # One format call over lo, hi, lo, hi, ... fills every pair.
-        layout = ",\n".join([_PAIR_JSON] * len(s.lows))
-        pairs = "[\n" + layout % tuple(chain.from_iterable(zip(s.lows, s.highs))) + "\n  ]"
-    return (
-        f'{{\n  "modulus": {s.modulus:d},\n  "pairs": {pairs},\n'
-        f'  "recipe": {"null" if recipe is None else _nested(recipe)},\n'
-        f'  "classification": {"null" if cls is None else _classification_json(cls)}\n}}'
-    )
+    # Slicing interleaves the columns faster than chain does.
+    flat = [0] * (2 * len(s.lows))
+    flat[::2], flat[1::2] = s.lows, s.highs
+    # One format call writes the whole document, each lo and hi into its own
+    # slot, and copies no pairs text (_DOCUMENT_JSON's keys hold no "%").
+    template = _DOCUMENT_JSON % ("%s", _array([_PAIR_JSON] * len(s.lows), "  "), "%s", "%s")
+    return template % (s.modulus, *flat, "null" if recipe is None else _at(recipe, "  "),
+                       "null" if cls is None else _classification_json(cls))
 
 
 def starter_from_json(text: str) -> Starter:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from skolem_starters import cli, constructions, search
 from skolem_starters.cli import _METHODS, main
 from skolem_starters.starters import classify, starter_to_dict
-from test_starters import Z19_PAIRS
+from test_starters import _json_values, Z19_PAIRS
 
 
 def run(capsys, *argv):
@@ -346,13 +346,6 @@ def test_scan_json_is_the_encoders_layout(case):
     assert out.getvalue() == json.dumps(report.to_dict(), indent=2) + "\n"
 
 
-_json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
-    max_leaves=6,
-)
-
-
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(
     kind=st.text(),
@@ -552,7 +545,7 @@ def test_verify_deeply_nested_document_exits_2(capsys, tmp_path):
 
 _VERDICT_KEYS = ("starter", "strong", "skolem", "cardioidal")
 _json_leaves = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5)
-_json_values = st.recursive(
+_document_values = st.recursive(
     _json_leaves,
     lambda children: st.lists(children, max_size=4)
     | st.dictionaries(st.text(max_size=5), children, max_size=4),
@@ -579,7 +572,7 @@ def _near_documents(draw):
         elif part == "drop" and doc:
             del doc[draw(st.sampled_from(sorted(doc)))]
         elif part == "extra":
-            doc[draw(st.text(max_size=5))] = draw(_json_values)
+            doc[draw(st.text(max_size=5))] = draw(_document_values)
         elif part == "pair" and isinstance(pairs, list) and pairs:
             pairs[draw(st.integers(0, len(pairs) - 1))] = draw(
                 st.lists(st.integers(-20, 40) | _json_leaves, max_size=3) | _odd_values
@@ -599,7 +592,7 @@ _inline_pairs = st.lists(
     st.tuples(st.integers(-3, 30), st.integers(-3, 30)).map(lambda ab: f"{ab[0]},{ab[1]}"), max_size=12
 ).map(";".join)
 _verify_inputs = st.one_of(
-    st.tuples(st.just("document"), _near_documents() | _json_values),
+    st.tuples(st.just("document"), _near_documents() | _document_values),
     st.tuples(
         st.just("inline"),
         st.integers(-5, 40).map(str) | st.text(max_size=8),

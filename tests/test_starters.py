@@ -486,6 +486,45 @@ def test_starter_to_json_lays_out_decoded_documents_as_json_dumps_does(pairs, re
     assert starter_from_json(starter_to_json(s)).recipe == s.recipe
 
 
+# Text with the characters a template or the encoder must escape: "%"
+# (a template's own), quotes, backslashes, control and non-ASCII.
+_TEMPLATE_TEXT = st.text(st.sampled_from('%s"\\\x00\x1f\n\x7f\u00e9\u2028\U0001f600') | st.characters(), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(witnesses=st.dictionaries(_TEMPLATE_TEXT, _TEMPLATE_TEXT, max_size=4))
+def test_starter_to_json_writes_any_text_witnesses_as_json_dumps_does(witnesses):
+    # Names other than the four verdicts fill a key template made at run time.
+    s = Starter.from_pairs(19, Z19_PAIRS).with_metadata(classification=Classification(witnesses))
+    assert starter_to_json(s) == json.dumps(starter_to_dict(s), indent=2)
+
+
+# Any JSON value; test_cli's scan report property draws from it too.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    value=st.dictionaries(_TEMPLATE_TEXT, _json_values, max_size=4) | st.lists(_json_values, max_size=4)
+    # Long enough for _array's one-join path, which starts at 64 items.
+    | st.lists(st.integers() | _TEMPLATE_TEXT, min_size=62, max_size=66),
+    pad=st.sampled_from(["", "  ", "    "]),
+)
+def test_the_layout_rule_lays_out_any_object_or_array_as_json_dumps_does(value, pad):
+    inner = pad + "  "
+    if isinstance(value, dict):
+        text = starters._object(tuple(value), pad) % tuple([starters._at(v, inner) for v in value.values()])
+    else:
+        text = starters._array([starters._at(v, inner) for v in value], pad)
+    assert text == json.dumps(value, indent=2).replace("\n", "\n" + pad)
+    assert starters._at(value, pad) == text
+    assert (starters._object((), pad), starters._array([], pad)) == ("{}", "[]")
+
+
 def test_with_metadata_keeps_the_type_the_pairs_and_the_verification_pass(z19):
     class Sub(Starter):
         pass
