@@ -469,15 +469,9 @@ def _at(value: Any, pad: str) -> str:
 
 def _array(items: list[str], pad: str) -> str:
     """An array of items, each already laid out below a line indented
-    by pad + "  ", as _at lays it out at pad.  From 64 items on, one join
-    makes it, brackets and all: a second copy costs more than the list."""
+    by pad + "  ", as _at lays it out at pad."""
     separator = f",\n  {pad}"
-    if len(items) < 64:
-        return f"[\n  {pad}{separator.join(items)}\n{pad}]" if items else "[]"
-    parts = [separator] * (2 * len(items) + 1)
-    parts[1::2] = items
-    parts[0], parts[-1] = f"[\n  {pad}", f"\n{pad}]"
-    return "".join(parts)
+    return f"[\n  {pad}{separator.join(items)}\n{pad}]" if items else "[]"
 
 
 @lru_cache(maxsize=64)
