@@ -19,6 +19,7 @@ from .search import SearchTimeout
 from .starters import (
     _array,
     _at,
+    _key,
     _object,
     _recipe_value,
     classify,
@@ -154,7 +155,11 @@ def _scan_json(report: search.ScanReport) -> str:
         layout = layouts.get(keys)
         if layout is None:
             # _HIT_JSON's own keys hold no "%", so the filled template is one.
-            layout = layouts[keys] = _HIT_JSON % (_object(keys[0], "      "), _object(keys[1], "      "))
+            layout = _HIT_JSON % tuple([_object(tuple(map(_key, k)), "      ") for k in keys])
+            # Equal keys of other types (1 and True, 0.0 and -0.0) are written
+            # apart, so only a layout of str keys is shared.
+            if all(type(key) is str for key in (*keys[0], *keys[1])):
+                layouts[keys] = layout
         values = (*params.values(), *certificates.values())
         hits.append(layout % tuple([v if type(v) is int else _at(v, "        ") for v in values]))
     return _SCAN_JSON % (_at(report.kind, "  "), _at(report.bound, "  "), _array(hits, "  "))
@@ -336,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_TIMEOUT
     except (CoverageFailure, ValueError, OSError, MemoryError) as exc:
         # The library's other refusals are all ValueErrors.  A MemoryError (a
-        # scan sieve too large to allocate) usually has an empty message.
+        # scan walk that cannot be allocated) usually has an empty message.
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -51,11 +51,11 @@ verifiers, and any other horton multiplier must give a strong starter.
 A failure raises CoverageFailure with the witnesses.
 
 This module keeps no state.  A hypothesis check formats its message
-only when it refuses, and _require_prime proves an odd prime through
-modnt's memo of the factorization of p - 1, the one the primitive-root
-search reads: each prime is proven once per process for the recipes,
-the certificates and the primitive-root search, whatever name a
-message gives it.
+only when it refuses, and _require_prime proves an odd prime with
+modnt._odd_prime, in modnt's memo of the factorization of p - 1, the
+one the primitive-root search reads: each prime is proven once per
+process for the recipes, the certificates and the primitive-root
+search, whatever name a message gives it.
 """
 
 from __future__ import annotations
@@ -64,11 +64,10 @@ import math
 from typing import Any, NamedTuple
 
 from .modnt import (
-    _root_exponents,
+    _odd_prime,
     discrete_log,
     find_primitive_root,
     in_half_class,
-    InvalidModulus,
     is_primitive_root,
     lift_primitive_root,
 )
@@ -170,14 +169,10 @@ def _beta_multiplier(beta: int | str, modulus: int) -> int:
 
 
 def _require_prime(p: int, name: str) -> None:
-    """p is a prime.  An odd p is proven by modnt's memo, the call
-    find_primitive_root makes; 2 is left to the congruence and 2-adic
+    """p is a prime.  An odd p is proven by modnt._odd_prime, in the
+    memo find_primitive_root reads; 2 is left to the congruence and 2-adic
     checks, which refuse it."""
-    if p != 2:
-        try:
-            _root_exponents(p)
-        except InvalidModulus:
-            raise HypothesisViolation(f"{name} = {p} is not prime") from None
+    _require(p == 2 or _odd_prime(p), "{} = {} is not prime", name, p)
 
 
 def _require_qr_prime(p: int, name: str = "p", mod: int = 8) -> None:

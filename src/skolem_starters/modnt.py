@@ -1,9 +1,9 @@
 """Exact modular arithmetic on odd moduli.
 
-Primality, multiplicative orders, primitive roots and their lift to
-prime powers, the root-free half-class test (with delta = 2 it is
-Euler's criterion for a non-residue), the Chinese-remainder map of a
-pair of residues, and a baby-step/giant-step discrete log.
+Primality, primitive roots and their lift to prime powers, ord_p(2),
+the root-free half-class test (with delta = 2 it is Euler's criterion
+for a non-residue), the Chinese-remainder map of a pair of residues,
+and a baby-step/giant-step discrete log.
 
 Primality is trial division by the first 12 primes, then Miller-Rabin
 with the first few of them as bases, as many as the size of m needs:
@@ -30,12 +30,14 @@ result for the same arguments and are safe to call concurrently.  The
 one state kept is a memo of the factorization of p - 1 for each odd
 prime p a primitive-root test has seen, so a scan that tests many
 roots of one prime factors p - 1 once; no result depends on it.  A
-refusal raises and is never kept.  The memo is also the one proof of
-primality of constructions and of the cyclotomic scans: constructions
-proves its primes through it, after bounding each of them, so from
-constructions it holds at most the 78 498 primes up to the
-construction bound; a cyclotomic scan proves each candidate that
-passes its class test there, and its roots find each hit proven.
+refusal raises and is never kept.  The memo is also the library's one
+proof of primality, read only here: _odd_prime proves a prime through
+it and _order_of_2 reads ord_p(2) from it.  constructions proves its
+primes there, after bounding each of them, so from constructions it
+holds at most the 78 498 primes up to the construction bound; a scan
+proves each term of its progression that passes the class test of 2
+there, at most the primes up to the 10^6 scan bound, and its roots and
+orders find each hit proven.
 """
 
 from __future__ import annotations
@@ -131,32 +133,6 @@ def factorize(m: int) -> dict[int, int]:
     return factors
 
 
-def euler_phi(m: int) -> int:
-    """Count of units modulo m."""
-    phi = 1
-    for p, e in factorize(m).items():
-        phi *= p ** (e - 1) * (p - 1)
-    return phi
-
-
-def multiplicative_order(x: int, m: int) -> int:
-    """Least e >= 1 with x^e = 1 (mod m).
-
-    The group order is factored and the exponent is descended through
-    its divisors, so this stays cheap even when the order is large.
-    """
-    if m < 2:
-        raise InvalidModulus(f"modulus must be >= 2, got {m}")
-    x %= m
-    if math.gcd(x, m) != 1:
-        raise NotAUnit(f"{x} is not a unit mod {m}")
-    order = euler_phi(m)
-    for p in factorize(order):
-        while order % p == 0 and pow(x, order // p, m) == 1:
-            order //= p
-    return order
-
-
 def _root_exponents(p: int) -> tuple[int, ...]:
     """The exponents (p - 1)/f, f a prime factor of p - 1, of the odd prime p.
 
@@ -176,6 +152,26 @@ def _odd_prime_exponents(p: int) -> tuple[int, ...]:
     if not is_prime(p) or p == 2:
         raise InvalidModulus(f"{p} is not an odd prime")
     return tuple((p - 1) // f for f in factorize(p - 1))
+
+
+def _odd_prime(p: int) -> bool:
+    """Whether p is an odd prime, proven once in the memo."""
+    try:
+        _root_exponents(p)
+    except InvalidModulus:
+        return False
+    return True
+
+
+def _order_of_2(p: int) -> int:
+    """ord_p(2) for an odd prime p, read from the factorization of p - 1
+    in the memo: the exponent descends through its prime factors."""
+    order = p - 1
+    for e in _root_exponents(p):
+        f = (p - 1) // e
+        while order % f == 0 and pow(2, order // f, p) == 1:
+            order //= f
+    return order
 
 
 def is_primitive_root(r: int, p: int) -> bool:

@@ -1,13 +1,15 @@
 """Parameter scans and exhaustive brute-force oracles at small moduli.
 
 The scanners find primes / prime pairs admissible for the doubling
-constructions (the cyclotomic scan walks p = 2^k t + 1, t odd, tests
-2 with modnt.in_half_class and proves each prime once, in modnt's
-memo), each refusing with BoundExceeded
-a scan of more than 10^6 candidates.  The exhaustive searcher settles
-Skolem and strong Skolem existence for a single small modulus
-(n <= 1001) by complete backtracking over bitmasks of the free
-positions and, for strong starters only, the used pair sums.  It
+constructions.  Both prime scans walk one arithmetic progression,
+p = 3 (mod 8) from 11 for qr and p = 2^k t + 1, t odd, for
+cyclotomic; they test 2 with modnt.in_half_class and prove each prime
+that passes once, in modnt's memo, where its root and ord_p(2) are
+read.  Each scan refuses with BoundExceeded a scan of more than 10^6
+candidates.  The exhaustive searcher settles Skolem and strong Skolem
+existence for a single small modulus (n <= 1001) by complete
+backtracking over bitmasks of the free positions and, for strong
+starters only, the used pair sums.  It
 walks half the tree: negation maps solutions to solutions, so the
 largest difference is placed only in the lower half of its range,
 and find_all adds the mirrored solutions in search order.  The plain
@@ -30,12 +32,12 @@ import time
 from typing import Any, NamedTuple
 
 from .modnt import (
-    _root_exponents,
+    _odd_prime,
+    _order_of_2,
     find_primitive_root,
     in_half_class,
     InvalidModulus,
     is_primitive_root,
-    multiplicative_order,
 )
 from .starters import negate_starter, Starter, verify_starter
 
@@ -49,7 +51,7 @@ class BoundExceeded(ValueError):
     construction or scan."""
 
 
-# Most candidates one scan examines: sieve entries, terms of the
+# Most candidates one scan examines: the qr limit itself, terms of the
 # cyclotomic progression, or the prime pairs scan_pq_pairs forms.
 _SCAN_BOUND = 10**6
 
@@ -62,7 +64,7 @@ def _require_scan_bound(candidates: int, what: str) -> None:
 def _require_ints(**values: Any) -> None:
     """First check of every scan and search: refuse an integer argument
     that is not a plain int (a bool, another int subclass, a float),
-    naming it, before any sieve, test or recursion."""
+    naming it, before any walk, test or recursion."""
     for name, value in values.items():
         if type(value) is not int:
             raise ValueError(f"{name} must be an int, got {value!r}")
@@ -89,23 +91,25 @@ class ScanReport(NamedTuple):
         }
 
 
-def _primes_upto(limit: int) -> list[int]:
-    if limit < 2:
-        return []
-    # Zero-filled: a repeated bytearray that cannot be allocated also
-    # prints a stray SystemError before its MemoryError.
-    composite = bytearray(limit + 1)
-    for i in range(2, math.isqrt(limit) + 1):
-        if not composite[i]:
-            composite[i * i :: i] = b"\x01" * len(range(i * i, limit + 1, i))
-    return [i for i in range(2, limit + 1) if not composite[i]]
+def _progression_primes(start: int, limit: int, step: int, delta: int) -> list[int]:
+    """The primes p = start + j * step <= limit with 2 in the half-shift
+    class of delta mod p.
+
+    The one-pow class test comes first: it refuses most terms before
+    the costlier primality test.  That test fills modnt's memo, where
+    the roots and orders of the scans find each hit proven.
+    """
+    return [p for p in range(start, limit + 1, step) if in_half_class(2, p, p - 1, delta) and _odd_prime(p)]
 
 
 def _qr_primes(limit: int) -> list[int]:
     """The p of scan_qr_primes(limit), without certificates."""
     _require_ints(limit=limit)
     _require_scan_bound(limit, f"qr-primes up to {limit}")
-    return [p for p in _primes_upto(limit) if p % 8 == 3 and p != 3]
+    # 11, 19, 27, ...: the p = 3 (mod 8) other than 3.  With delta = 2 the
+    # class test is Euler's criterion, which every such prime meets, as 2
+    # is a non-residue mod it.
+    return _progression_primes(11, limit, 8, 2)
 
 
 def scan_qr_primes(limit: int) -> ScanReport:
@@ -115,7 +119,7 @@ def scan_qr_primes(limit: int) -> ScanReport:
     non-residue, which forces ord(2) = 2 (mod 4).
     """
     hits = tuple(
-        ScanHit(params={"p": p}, certificates={"p_mod_8": 3, "ord2": multiplicative_order(2, p)})
+        ScanHit(params={"p": p}, certificates={"p_mod_8": 3, "ord2": _order_of_2(p)})
         for p in _qr_primes(limit)
     )
     return ScanReport(kind="qr-primes", bound=limit, hits=hits)
@@ -131,31 +135,7 @@ def _cyclotomic_primes(k: int, limit: int) -> list[int]:
     # At most limit / 2^(k+1) terms: 3 * 2^k + 1, step 2^(k+1), exactly the
     # p = 2^k t + 1 with t odd >= 3.
     _require_scan_bound(limit >> (k + 1), f"cyclotomic-primes up to {limit}")
-    delta = 1 << k
-    # The one-pow class test first: it refuses most terms before the
-    # costlier primality test.  That test fills modnt's memo, where
-    # find_primitive_root and is_primitive_root find each hit proven.
-    return [p for p in range(3 << k | 1, limit + 1, 2 << k) if in_half_class(2, p, p - 1, delta) and _odd_prime(p)]
-
-
-def _odd_prime(p: int) -> bool:
-    """Whether p is an odd prime, proven once in modnt's memo."""
-    try:
-        _root_exponents(p)
-    except InvalidModulus:
-        return False
-    return True
-
-
-def _order_of_2(p: int) -> int:
-    """ord_p(2) for an odd prime p, read from the factorization of p - 1
-    in modnt's memo instead of factoring p and p - 1 again."""
-    order = p - 1
-    for e in _root_exponents(p):
-        f = (p - 1) // e
-        while order % f == 0 and pow(2, order // f, p) == 1:
-            order //= f
-    return order
+    return _progression_primes(3 << k | 1, limit, 2 << k, 1 << k)
 
 
 def scan_cyclotomic_primes(k: int, limit: int) -> ScanReport:

@@ -474,10 +474,24 @@ def _array(items: list[str], pad: str) -> str:
     return f"[\n  {pad}{separator.join(items)}\n{pad}]" if items else "[]"
 
 
+def _key(key: Any) -> str:
+    """The str json.dumps makes of an object key: 1 is "1", True
+    "true", None "null", 2.5 "2.5".  It also refuses what json.dumps
+    refuses."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, (int, float)) or key is None:
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
 @lru_cache(maxsize=64)
 def _object(keys: tuple[str, ...], pad: str) -> str:
     """A %s template of an object with these keys, as _at lays it out at
-    pad, for values laid out by _at(value, pad + "  "); made once."""
+    pad, for values laid out by _at(value, pad + "  "); made once.  A
+    key known only at run time goes through _key first: the keys 1,
+    1.0 and True, or 0.0 and -0.0, are equal, so they would share one
+    template, yet json.dumps writes each apart."""
     members = [json.dumps(key).replace("%", "%%") + ": %s" for key in keys]
     return "{" + _array(members, pad)[1:-1] + "}"
 
@@ -491,7 +505,7 @@ _PAIR_JSON = _array(["%d", "%d"], "    ")
 def _classification_json(cls: Classification) -> str:
     """cls.to_dict() as _at lays it out at "  "."""
     witnesses = cls.witnesses
-    written = _object(tuple(witnesses), "    ") % tuple([_at(w, "      ") for w in witnesses.values()])
+    written = _object(tuple(map(_key, witnesses)), "    ") % tuple([_at(w, "      ") for w in witnesses.values()])
     verdicts = [_JSON_BOOLS[name not in witnesses] for name in _VERDICTS]
     return _CLASSIFICATION_JSON % (*verdicts, _JSON_BOOLS["starter" in witnesses], written)
 

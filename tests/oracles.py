@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 
+from skolem_starters.modnt import InvalidModulus, NotAUnit
 from skolem_starters.starters import Classification, MalformedStarter, Pair, Starter
 
 
@@ -20,6 +21,47 @@ def naive_order(x: int, m: int) -> int:
         e += 1
         assert e <= m, "not a unit"
     return e
+
+
+def trial_factorize(m: int) -> dict[int, int]:
+    """{prime: exponent} of m >= 1, by trial division by every d >= 2."""
+    factors: dict[int, int] = {}
+    d = 2
+    while d * d <= m:
+        while m % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            m //= d
+        d += 1
+    if m > 1:
+        factors[m] = factors.get(m, 0) + 1
+    return factors
+
+
+def euler_phi(m: int) -> int:
+    """Count of units modulo m."""
+    phi = 1
+    for p, e in trial_factorize(m).items():
+        phi *= p ** (e - 1) * (p - 1)
+    return phi
+
+
+def multiplicative_order(x: int, m: int) -> int:
+    """Least e >= 1 with x^e = 1 (mod m): the order routine the library
+    retired, kept as the reference modnt._order_of_2 must match.
+
+    The group order is factored and the exponent is descended through
+    its divisors, so this stays cheap even when the order is large.
+    """
+    if m < 2:
+        raise InvalidModulus(f"modulus must be >= 2, got {m}")
+    x %= m
+    if math.gcd(x, m) != 1:
+        raise NotAUnit(f"{x} is not a unit mod {m}")
+    order = euler_phi(m)
+    for p in trial_factorize(order):
+        while order % p == 0 and pow(x, order // p, m) == 1:
+            order //= p
+    return order
 
 
 def naive_dlog(x: int, r: int, m: int) -> int | None:

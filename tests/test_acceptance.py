@@ -18,7 +18,6 @@ from skolem_starters.constructions import (
     prime_power_starter,
     qr_starter,
 )
-from skolem_starters.modnt import multiplicative_order
 from skolem_starters.search import (
     enumerate_starters,
     exhaustive_skolem_search,
@@ -32,7 +31,7 @@ from skolem_starters.starters import (
     verify_skolem,
     verify_strong,
 )
-from oracles import naive_dlog, naive_order, trial_division_prime
+from oracles import multiplicative_order, naive_dlog, naive_order, trial_division_prime
 
 from test_starters import Z19_PAIRS
 

@@ -282,17 +282,17 @@ def test_scan_cyclotomic_requires_k(capsys):
     assert "--k" in err
 
 
-def test_scan_sieve_out_of_memory_exits_2(capsys, monkeypatch):
-    # A sieve of 10^18 bytes is refused by the scan bound before it is allocated.
+def test_scan_walk_out_of_memory_exits_2(capsys, monkeypatch):
+    # A limit of 10^18 is refused by the scan bound before any walk.
     code, out, err = run(capsys, "scan", "--kind", "qr-primes", "--limit", str(10**18), "--json")
     assert code == 2
     assert out == ""
     assert err == f"error: qr-primes up to {10**18}: {10**18} candidates exceed the scan bound 1000000\n"
-    # A sieve that cannot be allocated still exits 2.
-    def no_memory(limit):
+    # A walk whose primes cannot be allocated still exits 2.
+    def no_memory(*args):
         raise MemoryError
 
-    monkeypatch.setattr(search, "_primes_upto", no_memory)
+    monkeypatch.setattr(search, "_progression_primes", no_memory)
     code, out, err = run(capsys, "scan", "--kind", "qr-primes", "--limit", "100", "--json")
     assert (code, out, err) == (2, "", "error: MemoryError\n")
 

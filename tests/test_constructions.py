@@ -24,7 +24,7 @@ from skolem_starters.constructions import (
     qr_starter,
     Recipe,
 )
-from skolem_starters.modnt import find_primitive_root, in_half_class, multiplicative_order
+from skolem_starters.modnt import find_primitive_root, in_half_class
 from skolem_starters.search import (
     BoundExceeded,
     enumerate_starters,
@@ -42,6 +42,7 @@ from skolem_starters.starters import (
 )
 from oracles import (
     full_group_in_half_shift,
+    multiplicative_order,
     naive_coset,
     naive_dlog,
     naive_order,
@@ -417,7 +418,7 @@ def test_two_in_coset_certificate():
 
 def test_two_in_coset_refuses_equal_primes(monkeypatch):
     # 281^2 is no two-prime modulus: refused before any primality test or log.
-    for name in ("_root_exponents", "is_primitive_root", "discrete_log", "in_half_class"):
+    for name in ("_odd_prime", "is_primitive_root", "discrete_log", "in_half_class"):
         monkeypatch.setattr(constructions, name, None)
     with pytest.raises(HypothesisViolation, match="must be distinct"):
         check_two_in_coset(281, 281, 3, 3)
@@ -553,7 +554,7 @@ def test_construction_bound(monkeypatch):
     assert 4 * max(281 * 617, 281**2) < _CONSTRUCTION_BOUND
     # Refused before any arithmetic: no primality test, no root, no p^n.  The
     # first two and the pq pair meet every hypothesis of their recipes.
-    monkeypatch.setattr(constructions, "_root_exponents", None)
+    monkeypatch.setattr(constructions, "_odd_prime", None)
     for build, args in (
         (qr_starter, (1000003,)),
         (horton_starter, (1000003, 2)),
@@ -591,7 +592,7 @@ def test_every_recipe_refuses_a_bool_or_float_integer_parameter(monkeypatch):
     # The rule normalize_beta and Starter.from_pairs apply: True == 1,
     # 2.0 == 2 and _Int(11) == 11, yet all are refused, before any
     # primality test, root or log.
-    for name in ("_root_exponents", "is_primitive_root", "find_primitive_root", "discrete_log", "in_half_class"):
+    for name in ("_odd_prime", "is_primitive_root", "find_primitive_root", "discrete_log", "in_half_class"):
         monkeypatch.setattr(constructions, name, None)
     for build, args in _INTEGER_CALLS:
         for i in range(len(args)):
@@ -673,7 +674,7 @@ def test_the_walk_writes_the_columns_of_the_pair_list_walk(monkeypatch):
 def test_coset_certificate_bound(monkeypatch):
     # Each prime is bounded, not pq: scans certify pairs with pq near 4 * 10^8.
     # Refused before any primality test, factorization or discrete log.
-    for name in ("_root_exponents", "is_primitive_root", "discrete_log", "in_half_class"):
+    for name in ("_odd_prime", "is_primitive_root", "discrete_log", "in_half_class"):
         monkeypatch.setattr(constructions, name, None)
     big = _CONSTRUCTION_BOUND + 1
     for check in (check_minus_one_coset, check_two_in_coset):

@@ -11,9 +11,10 @@ from skolem_starters.constructions import (
     prime_power_cyclotomic_starter,
 )
 from skolem_starters.modnt import (
+    _odd_prime,
+    _order_of_2,
     crt_inverse,
     discrete_log,
-    euler_phi,
     factorize,
     find_primitive_root,
     GroupContext,
@@ -22,17 +23,19 @@ from skolem_starters.modnt import (
     is_prime,
     is_primitive_root,
     lift_primitive_root,
-    multiplicative_order,
     NotAUnit,
     NotInSubgroup,
 )
 from oracles import (
+    euler_phi,
     full_miller_rabin,
+    multiplicative_order,
     naive_coset,
     naive_dlog,
     naive_order,
     squares_set,
     trial_division_prime,
+    trial_factorize,
     walk_pairs,
 )
 
@@ -113,7 +116,7 @@ def test_tiered_is_prime_matches_all_twelve_bases(m):
     assert is_prime(m) == full_miller_rabin(m), m
 
 
-# ---- multiplicative_order --------------------------------------------------
+# ---- the retired order routine, oracles.multiplicative_order -----------------
 
 
 def test_order_examples():
@@ -155,6 +158,31 @@ def test_euler_phi_small():
     assert euler_phi(121) == 110
     assert euler_phi(209) == 180
     assert factorize(173377) == {281: 1, 617: 1}
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(min_value=1, max_value=10**7))
+def test_factorize_matches_trial_division(m):
+    assert factorize(m) == trial_factorize(m)
+
+
+# ---- the memo: _odd_prime and _order_of_2 ------------------------------------
+
+
+def test_odd_prime_is_the_memo_proof():
+    assert [m for m in range(-3, 400) if _odd_prime(m)] == [m for m in range(3, 400) if trial_division_prime(m)]
+    # Not a plain int: refused, not proven, as _root_exponents refuses it.
+    assert not any(_odd_prime(bad) for bad in (True, 281.0, "281", None))
+
+
+def test_order_of_2_matches_the_retired_order_routine():
+    for p in range(3, 5000, 2):
+        if trial_division_prime(p):
+            assert _order_of_2(p) == multiplicative_order(2, p) == naive_order(2, p), p
+    assert _order_of_2(281) == 70
+    for bad in (1, 2, 9, 281.0):
+        with pytest.raises(InvalidModulus):
+            _order_of_2(bad)
 
 
 # ---- primitive roots -------------------------------------------------------
@@ -508,5 +536,5 @@ def test_group_context_factories():
 
 
 def test_module_is_pure():
-    assert multiplicative_order(2, 281) == multiplicative_order(2, 281)
+    assert _order_of_2(281) == _order_of_2(281)
     assert find_primitive_root(281) == find_primitive_root(281)

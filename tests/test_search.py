@@ -10,7 +10,7 @@ import pytest
 
 from skolem_starters import search
 from skolem_starters.constructions import qr_starter
-from skolem_starters.modnt import in_half_class, InvalidModulus, multiplicative_order
+from skolem_starters.modnt import in_half_class, InvalidModulus
 from skolem_starters.search import (
     BoundExceeded,
     enumerate_starters,
@@ -23,7 +23,7 @@ from skolem_starters.search import (
 )
 from skolem_starters.starters import classify, negate_starter, Starter, verify_skolem, verify_strong
 from test_constructions import _record_primality_tests
-from oracles import backtrack_skolem_search, naive_dlog, naive_order, trial_division_prime
+from oracles import backtrack_skolem_search, multiplicative_order, naive_dlog, naive_order, trial_division_prime
 
 
 # ---- scan_qr_primes ----------------------------------------------------------
@@ -56,10 +56,11 @@ def test_scan_cyclotomic_primes_fixed_ranges():
 
 
 def test_cyclotomic_ord2_matches_multiplicative_order():
-    # The scan reads ord_p(2) from the factorization of p - 1 in modnt's
-    # memo; multiplicative_order factors p and p - 1 afresh.
-    for k in (3, 4, 5, 6):
-        hits = scan_cyclotomic_primes(k, 200000).hits
+    # Both prime scans read ord_p(2) from the factorization of p - 1 in
+    # modnt's memo; the retired multiplicative_order factors p and p - 1
+    # afresh, by trial division.
+    for scan, args in [*((scan_cyclotomic_primes, (k, 200000)) for k in (3, 4, 5, 6)), (scan_qr_primes, (200000,))]:
+        hits = scan(*args).hits
         assert hits
         for hit in hits:
             assert hit.certificates["ord2"] == multiplicative_order(2, hit.params["p"]), hit
@@ -83,11 +84,19 @@ def test_scan_cyclotomic_matches_independent_predicate():
 
 @pytest.mark.parametrize(
     "scan,args,primes",
-    [(scan_cyclotomic_primes, (3, 3000), 12), (scan_pq_pairs, (20000, "cyclotomic", 3), 69)],
-    ids=["scan_cyclotomic_primes(3, 3000)", "scan_pq_pairs(20000, 'cyclotomic', 3)"],
+    [
+        (scan_cyclotomic_primes, (3, 3000), 12),
+        (scan_pq_pairs, (20000, "cyclotomic", 3), 69),
+        (scan_pq_pairs, (5000,), 167),
+    ],
+    ids=[
+        "scan_cyclotomic_primes(3, 3000)",
+        "scan_pq_pairs(20000, 'cyclotomic', 3)",
+        "scan_pq_pairs(5000)",
+    ],
 )
 def test_each_scanned_prime_is_proven_once(monkeypatch, scan, args, primes):
-    # The filter's proof is modnt's memo, where the roots find it again.
+    # The filter's proof is modnt's memo, where the roots and orders find it again.
     calls = _record_primality_tests(monkeypatch)
     scan(*args)
     assert len(calls) == len(set(calls)) == primes
@@ -103,6 +112,29 @@ def test_a_composite_in_the_half_class_is_refused_and_not_kept(monkeypatch):
     assert search._cyclotomic_primes(3, 233017) == primes
     assert 233017 not in primes
     assert calls.count(233017) == 2 and len(calls) == len(primes) + 2
+
+
+def test_a_composite_that_meets_euler_s_criterion_is_refused_by_the_qr_walk(monkeypatch):
+    # 476971 = 8 * 59621 + 3, the least composite p = 3 (mod 8) with
+    # 2^((p-1)/2) = -1: Euler's criterion passes it, the memo refuses it.
+    calls = _record_primality_tests(monkeypatch)
+    assert in_half_class(2, 476971, 476970, 2) and not trial_division_prime(476971)
+    primes = search._qr_primes(476971)
+    assert search._qr_primes(476971) == primes
+    assert primes[-1] < 476971 and all(p % 8 == 3 for p in primes)
+    assert calls.count(476971) == 2 and len(calls) == len(primes) + 2
+
+
+def test_the_qr_scan_leaves_each_hit_proven_for_its_recipe(monkeypatch):
+    # The scan proves each hit in modnt's memo, so building the qr starter
+    # of every hit tests no number for primality again.
+    calls = _record_primality_tests(monkeypatch)
+    hits = scan_qr_primes(3000).hits
+    proven = len(calls)
+    assert proven == len(hits) == 108
+    for hit in hits:
+        qr_starter(hit.params["p"])
+    assert len(calls) == proven
 
 
 # ---- common primitive roots -----------------------------------------------------
@@ -228,11 +260,9 @@ class _Int(int):
 
 def test_every_scan_and_search_refuses_a_bool_or_float_integer_argument(monkeypatch):
     # The rule the recipes keep: True == 1, 60.0 == 60 and _Int(60) == 60,
-    # yet all are refused by name, before any sieve, primality test, root
+    # yet all are refused by name, before any walk, primality test, root
     # or recursion.
-    for name in (
-        "_primes_upto", "_root_exponents", "is_primitive_root", "find_primitive_root", "multiplicative_order", "_order_of_2"
-    ):
+    for name in ("_odd_prime", "in_half_class", "is_primitive_root", "find_primitive_root", "_order_of_2"):
         monkeypatch.setattr(search, name, None)
     for call, kwargs in _INTEGER_CALLS:
         for name, value in kwargs.items():
@@ -418,7 +448,7 @@ def test_scan_bound(monkeypatch):
     # The benchmark's largest scans sit well inside the bound.
     qr_hits = len(scan_qr_primes(5000).hits)
     assert max(qr_hits * (qr_hits - 1) // 2, 200000 >> 4) * 10 < search._SCAN_BOUND
-    # Refused before the sieve is allocated or the progression walked.
+    # Refused before either progression is walked.
     for scan, args in (
         (scan_qr_primes, (search._SCAN_BOUND + 1,)),
         (scan_cyclotomic_primes, (3, 10**15)),
@@ -427,7 +457,7 @@ def test_scan_bound(monkeypatch):
     ):
         with pytest.raises(BoundExceeded, match="exceed the scan bound"):
             scan(*args)
-    # The prime pairs count too: 5000 sieve entries pass, their pairs do not.
+    # The prime pairs count too: a qr limit of 5000 passes, its pairs do not.
     monkeypatch.setattr(search, "_SCAN_BOUND", 5000)
     with pytest.raises(BoundExceeded, match=f"pq-pairs up to 5000: {qr_hits * (qr_hits - 1) // 2} "):
         scan_pq_pairs(5000)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skolem_starters import cli, starters
+from skolem_starters import cli, search, starters
 from skolem_starters.constructions import qr_starter
 from skolem_starters.modnt import is_prime
 from skolem_starters.starters import (
@@ -521,6 +521,43 @@ def test_the_layout_rule_lays_out_any_object_or_array_as_json_dumps_does(value, 
     assert text == json.dumps(value, indent=2).replace("\n", "\n" + pad)
     assert starters._at(value, pad) == text
     assert (starters._object((), pad), starters._array([], pad)) == ("{}", "[]")
+
+
+# Object keys json.dumps turns into text: 1 into "1", True into "true",
+# None into "null", 2.5 into "2.5", and text as it is.
+_ANY_KEY = st.none() | st.booleans() | st.integers() | st.floats() | _TEMPLATE_TEXT
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    witnesses=st.dictionaries(_ANY_KEY, _TEMPLATE_TEXT, max_size=4),
+    hits=st.lists(
+        st.tuples(st.dictionaries(_ANY_KEY, st.integers(), max_size=3), st.dictionaries(_ANY_KEY, _json_values, max_size=3)),
+        max_size=4,
+    ),
+)
+def test_keys_that_are_not_text_are_written_as_json_dumps_writes_them(witnesses, hits):
+    s = Starter.from_pairs(19, Z19_PAIRS).with_metadata(classification=Classification(witnesses))
+    text = starter_to_json(s)
+    assert text == starters._at(starter_to_dict(s), "")
+    json.loads(text)
+    report = search.ScanReport("qr-primes", 3000, tuple(search.ScanHit(p, c) for p, c in hits))
+    text = cli._scan_json(report)
+    assert text == starters._at(report.to_dict(), "")
+    json.loads(text)
+
+
+def test_equal_keys_of_other_types_are_written_apart():
+    # 1, 1.0 and True are one dict key, as are 0.0 and -0.0, yet json.dumps
+    # writes each apart: no template made for one serves another.
+    layouts = ((1, None, 2.5), (True, None, 2.5), (1.0, None, 2.5), (0.0,), (-0.0,), (False,), (0,))
+    for keys in layouts:
+        s = Starter.from_pairs(19, Z19_PAIRS).with_metadata(classification=Classification(dict.fromkeys(keys, "x")))
+        assert starter_to_json(s) == starters._at(starter_to_dict(s), ""), keys
+    report = search.ScanReport("qr-primes", 3000, tuple(search.ScanHit(dict.fromkeys(keys, 1), {}) for keys in layouts))
+    assert cli._scan_json(report) == starters._at(report.to_dict(), "")
+    with pytest.raises(TypeError, match="^keys must be str, int, float, bool or None, not tuple$"):
+        starter_to_json(s.with_metadata(classification=Classification({(1, 2): "x"})))
 
 
 def test_with_metadata_keeps_the_type_the_pairs_and_the_verification_pass(z19):
