@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Iterable
+from typing import Any, Iterable
 
 from . import constructions, search
 from .constructions import CoverageFailure
@@ -140,14 +140,32 @@ def _run_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if verified else EXIT_NEGATIVE
 
 
+# How _array opens an array at "  ", separates its items and closes it.
+_OPEN, _SEPARATOR, _CLOSE = _array(["\0", "\0"], "  ").split("\0")
+
+
+def _report(template: str, values: tuple[Any, ...], items: list[str]) -> str:
+    """template % (*values, _array(items, "  ")), for a report template
+    whose last member is an array, written by one str.join: the items'
+    text is copied once, into the report."""
+    if not items:
+        return template % (*values, "[]")
+    head, tail = template.rsplit("%s", 1)
+    parts = [_SEPARATOR] * (2 * len(items) + 1)
+    parts[0] = head % values + _OPEN
+    parts[1::2] = items
+    parts[-1] = _CLOSE + tail
+    return "".join(parts)
+
+
 _SCAN_JSON = _object(("kind", "bound", "hits"), "")
 _HIT_JSON = _object(("params", "certificates"), "    ")
 
 
 def _scan_json(report: search.ScanReport) -> str:
-    """_at(report.to_dict(), ""), filled into the report's template:
-    each hit fills the template of its keys, made once per key layout,
-    with an int written by str and any other value by _at."""
+    """_at(report.to_dict(), ""), written by _report: each hit fills
+    the template of its keys, made once per key layout, with an int
+    written by str and any other value by _at."""
     layouts: dict[tuple[tuple[str, ...], tuple[str, ...]], str] = {}
     hits = []
     for params, certificates in report.hits:
@@ -162,7 +180,7 @@ def _scan_json(report: search.ScanReport) -> str:
                 layouts[keys] = layout
         values = (*params.values(), *certificates.values())
         hits.append(layout % tuple([v if type(v) is int else _at(v, "        ") for v in values]))
-    return _SCAN_JSON % (_at(report.kind, "  "), _at(report.bound, "  "), _array(hits, "  "))
+    return _report(_SCAN_JSON, (_at(report.kind, "  "), _at(report.bound, "  ")), hits)
 
 
 def _run_scan(args: argparse.Namespace) -> int:
@@ -199,7 +217,7 @@ def _run_search(args: argparse.Namespace) -> int:
         # Each starter document, laid out at the depth of its place in the array.
         docs = [starter_to_json(s.with_metadata(classification=classify(s))).replace("\n", "\n    ")
                 for s in found]
-        print(_SEARCH_JSON % (_at(args.modulus, "  "), _at(args.strong, "  "), len(found), _array(docs, "  ")))
+        print(_report(_SEARCH_JSON, (_at(args.modulus, "  "), _at(args.strong, "  "), len(found)), docs))
     elif found:
         for s in found:
             _print_starter_human(s)

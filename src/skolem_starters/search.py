@@ -9,7 +9,8 @@ read.  Each scan refuses with BoundExceeded a scan of more than 10^6
 candidates.  The exhaustive searcher settles Skolem and strong Skolem
 existence for a single small modulus (n <= 1001) by complete
 backtracking over bitmasks of the free positions and, for strong
-starters only, the used pair sums.  It
+starters only, the used pair sums.  A solution's columns are read
+from the positions it placed, with no Starter.from_pairs.  It
 walks half the tree: negation maps solutions to solutions, so the
 largest difference is placed only in the lower half of its range,
 and find_all adds the mirrored solutions in search order.  The plain
@@ -17,8 +18,10 @@ search also skips subproblems already proven to have no completion,
 kept in a table of fixed size keyed by the free positions up to
 translation.  The search uses neither the n mod 8 law nor a parity
 argument, so it stays an independent check of that law.
-enumerate_starters lists every starter outright as an independent
-cross-check of both the verifiers and the searcher.
+enumerate_starters lists every starter outright, on bitmasks of the
+free elements and the used difference classes, as an independent
+cross-check of both the verifiers and the searcher: it re-checks each
+one with Starter.from_pairs and verify_starter.
 
 A scan returns a ScanReport of ScanHits.  Both are NamedTuples, so
 they compare as plain tuples of their fields.
@@ -39,7 +42,7 @@ from .modnt import (
     InvalidModulus,
     is_primitive_root,
 )
-from .starters import negate_starter, Starter, verify_starter
+from .starters import _partner_columns, negate_starter, Starter, verify_starter
 
 
 class SearchTimeout(TimeoutError):
@@ -262,7 +265,11 @@ def exhaustive_skolem_search(
     strong(i, free, sums), where bit t of `sums` marks a used pair sum,
     refused as is t = 0.  chosen[i - 1] holds the low bit 1 << a of the
     pair placed for difference i; only a solution turns these bits
-    into pairs.
+    into its columns.  It writes a + i into slot a of a list of n and
+    reads the columns back with _partner_columns, as the constructions'
+    orbit walk does: the placed pairs partition 1..n-1 with a < a + i,
+    so no slot is written twice, nothing needs reducing, and no
+    solution goes through Starter.from_pairs.
 
     Negation x -> n - x (negate_starter) maps Skolem starters to Skolem
     starters and strong ones to strong ones (sums negate), and takes
@@ -347,8 +354,11 @@ def exhaustive_skolem_search(
             raise SearchTimeout(f"search at modulus {n} exceeded {timeout} s")
 
     def leaf() -> bool:
-        lows = [low.bit_length() - 1 for low in chosen]
-        solutions.append(Starter.from_pairs(n, [(a, a + i) for i, a in enumerate(lows, 1)]))
+        partner = [0] * n
+        for i, low in enumerate(chosen, 1):
+            a = low.bit_length() - 1
+            partner[a] = a + i
+        solutions.append(Starter(n, *_partner_columns(partner)))
         return not find_all
 
     def plain(i: int, free: int) -> bool:
@@ -423,24 +433,26 @@ def exhaustive_skolem_search(
 def enumerate_starters(n: int) -> list[Starter]:
     """Every starter for Z_n by exhaustive pairing, n <= 15.
 
-    Pairs off the smallest unused element against every partner whose
-    difference class is still free; a completed pairing is a starter
-    by construction, and each one is re-checked with verify_starter
-    anyway so this stays an independent oracle.
+    Pairs off the smallest unused element against every higher one, in
+    ascending order, whose difference class is still free.  Bits
+    1..n-1 of the int `free` are the unused elements and bit c of
+    `classes` marks the used class {c, n - c}, read from a table of the
+    class bit of each difference.  A completed pairing is a starter by
+    construction, and each one is re-checked with Starter.from_pairs
+    and verify_starter anyway, so this stays an independent oracle.
     """
     _require_ints(n=n)
     if n < 3 or n % 2 == 0:
         raise ValueError(f"modulus must be odd and >= 3, got {n}")
     if n > _ENUMERATION_BOUND:
         raise BoundExceeded(f"enumeration is capped at n <= {_ENUMERATION_BOUND}, got {n}")
-    k = (n - 1) // 2
-    used = bytearray(n)
-    class_used = bytearray(k + 1)
+    # class_bit[d] is the bit of the class {d, n - d}.
+    class_bit = [1 << min(d, n - d) for d in range(n)]
     current: list[tuple[int, int]] = []
     found: list[Starter] = []
 
-    def rec(placed: int) -> None:
-        if placed == k:
+    def rec(free: int, classes: int) -> None:
+        if not free:
             cand = Starter.from_pairs(n, current)
             ok, _ = verify_starter(cand)
             if ok:
@@ -448,26 +460,20 @@ def enumerate_starters(n: int) -> list[Starter]:
                 # that only this check asked for.
                 found.append(Starter(n, cand.lows, cand.highs))
             return
-        a = 1
-        while used[a]:
-            a += 1
-        used[a] = 1
-        for b in range(a + 1, n):
-            if used[b]:
+        low = free & -free
+        a = low.bit_length() - 1
+        rest = cand = free ^ low
+        while cand:
+            high = cand & -cand
+            cand ^= high
+            b = high.bit_length() - 1
+            c = class_bit[b - a]
+            if classes & c:
                 continue
-            d = b - a
-            cls = min(d, n - d)
-            if class_used[cls]:
-                continue
-            class_used[cls] = 1
-            used[b] = 1
             current.append((a, b))
-            rec(placed + 1)
+            rec(rest ^ high, classes | c)
             current.pop()
-            used[b] = 0
-            class_used[cls] = 0
-        used[a] = 0
 
-    rec(0)
+    rec((1 << n) - 2, 0)
     del rec  # rec holds itself, as plain and strong do
     return found

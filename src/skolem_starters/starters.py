@@ -16,11 +16,12 @@ with n <= 4 * len(pairs) is sorted by counting, in a list of n slots
 indexed by lo; any other input, and one where a lo meets a second hi,
 goes through a set of keys lo * n + hi and a sort.  The counting
 path's read-back, _partner_columns, is shared with the constructions'
-orbit walk, which fills the slots itself: recipe builds do not go
-through from_pairs.  The verifiers and the JSON encoder walk the
-columns.  Its pairs property builds a tuple of Pairs on each read: a
-Pair is a NamedTuple (lo, hi), so Pair(1, 2) == (1, 2) and pairs
-order and hash as plain tuples.  All
+orbit walk and the exhaustive search's solutions, which fill the slots
+themselves: neither recipe builds nor search results go through
+from_pairs, and negate_starter sorts the negated columns itself.  The
+verifiers and the JSON encoder walk the columns.  Its pairs property
+builds a tuple of Pairs on each read: a Pair is a NamedTuple (lo, hi),
+so Pair(1, 2) == (1, 2) and pairs order and hash as plain tuples.  All
 four verdicts come from one pass over the pairs, made once per Starter
 and kept on it, which classify and each verify_* function read.  A
 Classification stores only the witnesses, and a decoded classification
@@ -31,7 +32,8 @@ starter document and cli's scan and search reports: _at lays a value
 out as the indented json.dumps does at a given depth, and every
 template comes from _object and _array, once per key layout.  Only a
 recipe object goes through the indented json.dumps, whose pure-Python
-encoder costs far more than the rest.
+encoder costs far more than the rest.  json itself is imported on
+first use: building, verifying and classifying a starter never load it.
 
 Verifiers return (verdict, witness): the witness is the first
 offending element / difference / sum / pair, kept small on purpose --
@@ -40,7 +42,6 @@ it exists for debugging, not for enumerating every failure.
 
 from __future__ import annotations
 
-import json
 import operator
 from collections.abc import Iterable, Sized
 from functools import lru_cache
@@ -74,7 +75,8 @@ class Starter:
 
     Pair i is (lows[i], highs[i]), 0 < lo < hi < n, in ascending
     (lo, hi) order; build one with from_pairs (the constructions pass
-    the columns of their walk, which they then certify).  recipe and
+    the columns of their walk, which they then certify, and the search
+    the columns of its placements).  recipe and
     classification are optional attachments (filled in by the
     construction layer); they never take part in equality, hashing or
     the repr, so two starters are equal exactly when their pair sets
@@ -201,8 +203,9 @@ def _partner_columns(partner: list[int]) -> tuple[tuple[int, ...], tuple[int, ..
     """The canonical columns of partner[lo] = hi (0 for no pair), a list
     of n slots: the lows in ascending order and the highs beside them.
 
-    Shared by Starter.from_pairs' counting path and the constructions'
-    orbit walk, which fill the slots themselves.
+    Shared by Starter.from_pairs' counting path, the constructions'
+    orbit walk and the exhaustive search's solutions, which fill the
+    slots themselves.
     """
     # x + 0 makes fresh ints in sorted order: reusing the caller's ints,
     # which sit in their input order, slows every later walk over highs.
@@ -388,10 +391,14 @@ def negate_starter(s: Starter) -> Starter:
 
     An involution; it preserves the starter, strong, Skolem and
     cardioidal verdicts (sums negate, (lo, hi) goes to (n - hi, n - lo)
-    with the same hi - lo, doubling pairs stay doubling pairs).
+    with the same hi - lo, doubling pairs stay doubling pairs).  The
+    negated pairs sort in (lo, hi) order exactly as the (hi, lo) pairs
+    sort descending, repeated highs included, so the columns are sorted
+    once and mapped, with nothing to check or reduce.
     """
     n = s.modulus
-    return Starter.from_pairs(n, ((n - hi, n - lo) for lo, hi in zip(s.lows, s.highs)))
+    pairs = sorted(zip(s.highs, s.lows), reverse=True)
+    return Starter(n, tuple([n - hi for hi, _ in pairs]), tuple([n - lo for _, lo in pairs]))
 
 
 # --- JSON interchange ------------------------------------------------------
@@ -454,8 +461,23 @@ def starter_from_dict(doc: dict[str, Any]) -> Starter:
     computed = classify(s)
     want = computed.to_dict()
     if not _same_json(cls, want):
-        raise MalformedStarter(f"classification is not the one its pairs give: {json.dumps(want)}")
+        raise MalformedStarter(f"classification is not the one its pairs give: {_dumps(want)}")
     return s.with_metadata(recipe=recipe, classification=computed)
+
+
+def _dumps(value: Any, **options: Any) -> str:
+    """json.dumps, imported on the first call, which then rebinds
+    _dumps to it: later calls cost what json.dumps costs."""
+    global _dumps
+    from json import dumps as _dumps
+    return _dumps(value, **options)
+
+
+def _loads(text: str) -> Any:
+    """json.loads, imported on the first call as _dumps is."""
+    global _loads
+    from json import loads as _loads
+    return _loads(text)
 
 
 def _at(value: Any, pad: str) -> str:
@@ -463,8 +485,8 @@ def _at(value: Any, pad: str) -> str:
     by pad.  Only a non-empty array or object spans lines; anything else
     is json.dumps(value), which takes the C encoder."""
     if isinstance(value, (dict, list, tuple)):
-        return json.dumps(value, indent=2).replace("\n", "\n" + pad)
-    return json.dumps(value)
+        return _dumps(value, indent=2).replace("\n", "\n" + pad)
+    return _dumps(value)
 
 
 def _array(items: list[str], pad: str) -> str:
@@ -481,8 +503,17 @@ def _key(key: Any) -> str:
     if isinstance(key, str):
         return key
     if isinstance(key, (int, float)) or key is None:
-        return json.dumps(key)
+        return _dumps(key)
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _quoted(key: str) -> str:
+    """json.dumps(key) of a str key.  Printable ASCII other than " and \\
+    is what json.dumps writes as it is, so the templates made at import,
+    whose keys are all such, need no json."""
+    if key.isascii() and key.isprintable() and '"' not in key and "\\" not in key:
+        return f'"{key}"'
+    return _dumps(key)
 
 
 @lru_cache(maxsize=64)
@@ -492,7 +523,7 @@ def _object(keys: tuple[str, ...], pad: str) -> str:
     key known only at run time goes through _key first: the keys 1,
     1.0 and True, or 0.0 and -0.0, are equal, so they would share one
     template, yet json.dumps writes each apart."""
-    members = [json.dumps(key).replace("%", "%%") + ": %s" for key in keys]
+    members = [_quoted(key).replace("%", "%%") + ": %s" for key in keys]
     return "{" + _array(members, pad)[1:-1] + "}"
 
 
@@ -527,7 +558,7 @@ def starter_from_json(text: str) -> Starter:
     """Decode a starter document; MalformedStarter if it is not one,
     nested too deeply for the decoder included."""
     try:
-        doc = json.loads(text)
+        doc = _loads(text)
     except RecursionError:
         raise MalformedStarter("JSON document is nested too deeply") from None
     return starter_from_dict(doc)

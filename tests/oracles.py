@@ -314,3 +314,49 @@ def backtrack_skolem_search(n: int, *, require_strong: bool = False, find_all: b
 
     place(k)
     return solutions
+
+
+# --- the original starter enumeration -----------------------------------------
+#
+# The bytearray walk that the bitmask enumerate_starters in
+# skolem_starters.search replaced.  It pairs the smallest unused
+# element with every higher unused one in ascending order, as the
+# bitmask walk does, so the two must list the same starters in the same
+# order.  Each pairing is re-checked by the Counter verifier above.
+
+
+def bytearray_enumerate_starters(n: int) -> list[Starter]:
+    k = (n - 1) // 2
+    used = bytearray(n)
+    class_used = bytearray(k + 1)
+    current: list[tuple[int, int]] = []
+    found: list[Starter] = []
+
+    def rec(placed: int) -> None:
+        if placed == k:
+            cand = Starter.from_pairs(n, current)
+            if verify_starter(cand)[0]:
+                found.append(cand)
+            return
+        a = 1
+        while used[a]:
+            a += 1
+        used[a] = 1
+        for b in range(a + 1, n):
+            if used[b]:
+                continue
+            d = b - a
+            cls = min(d, n - d)
+            if class_used[cls]:
+                continue
+            class_used[cls] = 1
+            used[b] = 1
+            current.append((a, b))
+            rec(placed + 1)
+            current.pop()
+            used[b] = 0
+            class_used[cls] = 0
+        used[a] = 0
+
+    rec(0)
+    return found

@@ -23,7 +23,14 @@ from skolem_starters.search import (
 )
 from skolem_starters.starters import classify, negate_starter, Starter, verify_skolem, verify_strong
 from test_constructions import _record_primality_tests
-from oracles import backtrack_skolem_search, multiplicative_order, naive_dlog, naive_order, trial_division_prime
+from oracles import (
+    backtrack_skolem_search,
+    bytearray_enumerate_starters,
+    multiplicative_order,
+    naive_dlog,
+    naive_order,
+    trial_division_prime,
+)
 
 
 # ---- scan_qr_primes ----------------------------------------------------------
@@ -566,6 +573,13 @@ def test_enumerate_11_contains_qr_construction():
 def test_enumerate_bound():
     with pytest.raises(BoundExceeded):
         enumerate_starters(17)
+
+
+@pytest.mark.parametrize("n", range(3, 16, 2))
+def test_enumeration_matches_the_bytearray_oracle(n):
+    # Same starters, same order: the bitmask walk lists exactly what the
+    # bytearray walk it replaced lists, up to the bound n = 15.
+    assert enumerate_starters(n) == bytearray_enumerate_starters(n)
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])

@@ -8,11 +8,11 @@ import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skolem_starters import cli, search, starters
-from skolem_starters.constructions import qr_starter
+from skolem_starters.constructions import pq_cyclotomic_starter, qr_starter
 from skolem_starters.modnt import is_prime
 from skolem_starters.starters import (
     Classification,
@@ -275,6 +275,50 @@ def test_negate_preserves_verdicts(z19, z11):
         assert before.is_starter == after.is_starter
         assert before.is_strong == after.is_strong
         assert before.is_cardioidal == after.is_cardioidal
+
+
+def _negated_by_from_pairs(s):
+    """The negation as negate_starter made it before it sorted the
+    columns itself: (n - hi, n - lo) for each pair, through from_pairs."""
+    n = s.modulus
+    return Starter.from_pairs(n, [(n - hi, n - lo) for lo, hi in zip(s.lows, s.highs)])
+
+
+@st.composite
+def _few_or_many_pairs(draw):
+    """An odd n and pairs of Z_n for from_pairs: up to 12 pairs, or 64
+    and more (the counting path where n <= 4 * len), their highs drawn
+    from a few values half the time, so that many pairs share a high."""
+    n = draw(st.integers(1, 150), label="k") * 2 + 1
+    if draw(st.booleans(), label="shared highs"):
+        highs = draw(st.lists(st.integers(2, n - 1), min_size=1, max_size=4))
+    else:
+        highs = range(2, n)
+    count = draw(st.integers(0, 12) | st.integers(64, 200), label="pairs")
+    drawn = draw(st.lists(st.tuples(st.sampled_from(highs), st.integers(0, n)), min_size=count, max_size=count))
+    return n, [(x % (hi - 1) + 1, hi) for hi, x in drawn]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_few_or_many_pairs())
+@example(case=(257, [(lo, 256) for lo in range(1, 70)]))
+@example(case=(101, [(lo, 100 - lo % 3) for lo in range(1, 97)]))
+def test_negation_is_from_pairs_of_the_negated_pairs(case):
+    # negate_starter sorts the (hi, lo) pairs descending where it called
+    # from_pairs: the same columns, repeated highs included.
+    n, pairs = case
+    s = Starter.from_pairs(n, pairs)
+    negated, want = negate_starter(s), _negated_by_from_pairs(s)
+    assert (negated.modulus, negated.lows, negated.highs) == (want.modulus, want.lows, want.highs)
+    assert type(negated.lows) is tuple and type(negated.highs) is tuple
+
+
+def test_negation_of_z_173377_is_from_pairs_of_the_negated_pairs():
+    s = pq_cyclotomic_starter(281, 617, 3)
+    negated, want = negate_starter(s), _negated_by_from_pairs(s)
+    assert len(negated.lows) == 86688
+    assert (negated.lows, negated.highs) == (want.lows, want.highs)
+    assert negate_starter(negated) == s
 
 
 def test_difference_classes_partition(z19):
@@ -617,10 +661,13 @@ def test_classification_compares_by_its_witnesses_and_cannot_be_hashed():
 
 
 def test_importing_the_library_loads_neither_dataclasses_nor_inspect():
-    # Either costs a fresh interpreter about 10 ms before any starter is built.
+    # Either costs a fresh interpreter about 10 ms before any starter is
+    # built.  Nor is json loaded until a document is written or read:
+    # building and certifying a starter never needs it.
     src = Path(__file__).resolve().parent.parent / "src"
     code = (f"import sys; sys.path.insert(0, {str(src)!r}); import skolem_starters; "
-            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+            "skolem_starters.qr_starter(19); "
+            "print(sorted({'dataclasses', 'inspect', 'json'} & sys.modules.keys()))")
     proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
