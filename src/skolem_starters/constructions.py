@@ -37,8 +37,10 @@ mod q, t1 and t2 odd, agree mod gcd(p-1, q-1) and are delta/2 mod
 delta.  2 is settled by the hypotheses of pq_starter and checked
 first by pq_cyclotomic_starter.  The coset certificates compute only
 what their hypotheses leave open: nothing for -1, and for
-check_two_in_coset the logs of 2 mod p and mod q, each taken in the
-subgroup of order gcd(p-1, q-1).
+check_two_in_coset, when gcd(p-1, q-1) = delta, two power-residue
+tests, which its hypotheses already passed; for a larger gcd, the logs
+of 2 mod p and mod q, each taken in the subgroup of order
+gcd(p-1, q-1).
 
 Every argument is refused before any arithmetic: a parameter that is
 not a plain int, or an n < 1, raises HypothesisViolation, and then a
@@ -61,7 +63,7 @@ search, whatever name a message gives it.
 from __future__ import annotations
 
 import math
-from typing import Any, NamedTuple
+from typing import Any, NamedTuple, NoReturn
 
 from .modnt import (
     _odd_prime,
@@ -136,23 +138,37 @@ def normalize_beta(beta: int | str) -> int | str:
 
 def _require_bounded(p: int, q: int = 1, n: int = 1, *, each_prime: bool = False, **others: int) -> None:
     """First check of every recipe and certificate, before any arithmetic:
-    p, q, n and the others are plain ints, not bools or other int
-    subclasses, as normalize_beta asks of beta, and n >= 1
-    (HypothesisViolation); the modulus (pq)^n, unless each_prime, and
-    both primes are at most _CONSTRUCTION_BOUND (BoundExceeded), a huge
-    n refused before the power is built.  Each prime is bounded on its
+    p, q, n and the others, in that order, are plain ints, not bools or
+    other int subclasses, as normalize_beta asks of beta, and n >= 1
+    (HypothesisViolation); the modulus (pq)^n, unless each_prime, then
+    p and q are at most _CONSTRUCTION_BOUND (BoundExceeded), a huge n
+    refused before the power is built.  Each prime is bounded on its
     own, so a q <= 0 cannot carry a p above the bound to a primality
-    test."""
-    for key, value in (("p", p), ("q", q), ("n", n), *others.items()):
-        _require(type(value) is int, "{} must be an int, got {!r}", key, value)
-    _require(n >= 1, "n must be >= 1, got {}", n)
-    bounded = (("prime", p), ("prime", q))
-    if not each_prime:
-        bounded = (("modulus", p * q), *bounded)
-    for name, m in bounded:
-        if n > _CONSTRUCTION_BOUND.bit_length() or m**n > _CONSTRUCTION_BOUND:
-            shown = m if n == 1 else f"{m}^{n}"
-            raise BoundExceeded(f"{name} {shown} exceeds the construction bound {_CONSTRUCTION_BOUND}")
+    test.  A refusal text is built only when it is raised."""
+    if type(p) is not int:
+        raise HypothesisViolation(f"p must be an int, got {p!r}")
+    if type(q) is not int:
+        raise HypothesisViolation(f"q must be an int, got {q!r}")
+    if type(n) is not int:
+        raise HypothesisViolation(f"n must be an int, got {n!r}")
+    for key, value in others.items():
+        if type(value) is not int:
+            raise HypothesisViolation(f"{key} must be an int, got {value!r}")
+    if n < 1:
+        raise HypothesisViolation(f"n must be >= 1, got {n}")
+    huge = n > _CONSTRUCTION_BOUND.bit_length()
+    if not each_prime and (huge or (p * q) ** n > _CONSTRUCTION_BOUND):
+        _refuse_bound("modulus", p * q, n)
+    if huge or p**n > _CONSTRUCTION_BOUND:
+        _refuse_bound("prime", p, n)
+    if q**n > _CONSTRUCTION_BOUND:
+        _refuse_bound("prime", q, n)
+
+
+def _refuse_bound(name: str, m: int, n: int) -> NoReturn:
+    """The modulus or prime m, raised to n, is above _CONSTRUCTION_BOUND."""
+    shown = m if n == 1 else f"{m}^{n}"
+    raise BoundExceeded(f"{name} {shown} exceeds the construction bound {_CONSTRUCTION_BOUND}")
 
 
 def _doubling_beta(beta: int | str) -> int | str:
@@ -294,18 +310,25 @@ def _refuse_slot(modulus: int, root: int, lo: int, old: int, hi: int) -> None:
 
 def _in_half_shift(x: int, root: int, p: int, q: int, delta: int) -> bool:
     """The unit x lies in the coset root^(delta/2) <root^delta> mod pq,
-    root a common primitive root of p and q and delta dividing p-1 and
-    q-1.
+    root a common primitive root of p and q and delta a power of 2
+    dividing p-1 and q-1.
 
     Write x = root^ep mod p and root^eq mod q.  Then x is root^e for an
     e = ep (mod p-1), eq (mod q-1), which exists exactly when
     ep = eq (mod g), g = gcd(p-1, q-1), and e = ep (mod delta).  Only
-    ep and eq mod g are needed, as delta divides g, and each is a log
-    in the subgroup of order g (Pohlig-Hellman): with c = (p-1)/g,
-    x^c = (root^c)^ep mod p, root^c of order g.  So each baby-step/
-    giant-step run takes about sqrt(g) steps, not sqrt(p-1).
+    ep and eq mod g are needed, as delta divides g.
+
+    When g = delta, that asks only for ep = eq = delta/2 (mod delta):
+    x in the half-shift class mod p and mod q, each a power-residue
+    test (modnt.in_half_class), with no discrete log.  Otherwise each
+    log is taken in the subgroup of order g (Pohlig-Hellman): with
+    c = (p-1)/g, x^c = (root^c)^ep mod p, root^c of order g.  So each
+    baby-step/giant-step run takes about sqrt(g) steps, not
+    sqrt(p-1).
     """
     g = math.gcd(p - 1, q - 1)
+    if g == delta:
+        return in_half_class(x, p, p - 1, delta) and in_half_class(x, q, q - 1, delta)
     ep, eq = (discrete_log(pow(x, (m - 1) // g, m), pow(root, (m - 1) // g, m), m, g) for m in (p, q))
     return ep == eq and ep % delta == delta >> 1
 
@@ -455,8 +478,9 @@ def pq_cyclotomic_starter(p: int, q: int, k: int, beta: int | str = BETA_TWO) ->
     <r>.  The smallest unit outside <r> is recorded as lambda.  -1
     lies in the coset r^(delta/2) <r^delta> mod pq, its exponents
     agreeing mod gcd(p-1, q-1) (see the module docstring); 2 may miss
-    it: its logs mod p and mod q, taken in the subgroup of order
-    gcd(p-1, q-1), decide (_in_half_shift).
+    it only when gcd(p-1, q-1) > delta, and then its logs mod p and
+    mod q, taken in the subgroup of order gcd(p-1, q-1), decide
+    (_in_half_shift).
     """
     _require_bounded(p, q, k=k)
     _cyclotomic_prime(p, k, "p")
@@ -506,6 +530,9 @@ def check_two_in_coset(p: int, q: int, k: int, r: int) -> bool:
     mod p and mod q.  The conclusion -- 2 lies in that coset mod pq --
     is then decided by the congruence of its logs mod p and mod q,
     each taken in the subgroup of order gcd(p-1, q-1) (_in_half_shift).
+    When gcd(p-1, q-1) = 2^k the class tests settle it with no log:
+    the two logs need agree only mod 2^k, where both are 2^(k-1), so
+    the result is True.
     """
     _require_bounded(p, q, k=k, r=r, each_prime=True)
     _require(p != q, "p and q must be distinct, got {} twice", p)

@@ -34,10 +34,13 @@ refusal raises and is never kept.  The memo is also the library's one
 proof of primality, read only here: _odd_prime proves a prime through
 it and _order_of_2 reads ord_p(2) from it.  constructions proves its
 primes there, after bounding each of them, so from constructions it
-holds at most the 78 498 primes up to the construction bound; a scan
-proves each term of its progression that passes the class test of 2
-there, at most the primes up to the 10^6 scan bound, and its roots and
-orders find each hit proven.
+holds at most the 78 498 primes up to the construction bound.  A scan
+proves there each term of its progression that passes the class test
+of 2, and its roots and orders find each hit proven.  Its scan bound
+counts terms, not the limit: a qr scan proves primes up to 10^6, and a
+cyclotomic scan, whose terms are about limit/2^(k+1), up to
+limit < 2^(k+1) (10^6 + 1), so scan_cyclotomic_primes(3, 16 000 015)
+proves primes up to 1.6 * 10^7, and a larger k reaches further.
 """
 
 from __future__ import annotations
@@ -180,7 +183,12 @@ def is_primitive_root(r: int, p: int) -> bool:
     r %= p
     if r == 0:
         return False
-    return all(pow(r, e, p) != 1 for e in exponents)
+    # A loop, not all() over a generator: the root searches and the
+    # certificates call this once per candidate r.
+    for e in exponents:
+        if pow(r, e, p) == 1:
+            return False
+    return True
 
 
 def find_primitive_root(p: int) -> int:

@@ -37,6 +37,7 @@ from typing import Any, NamedTuple
 from .modnt import (
     _odd_prime,
     _order_of_2,
+    _root_exponents,
     find_primitive_root,
     in_half_class,
     InvalidModulus,
@@ -173,6 +174,21 @@ def find_common_primitive_root(p: int, q: int) -> int:
 _MASK_ROOTS = 64
 
 
+def _root_mask(p: int) -> int:
+    """Bit r set for each r in 2.._MASK_ROOTS - 1 that is a primitive
+    root mod the odd prime p, r >= p taken mod p.
+
+    r is a root exactly when r^e is neither 1 nor 0 for each e of
+    _root_exponents(p): 1 marks a non-root, 0 a multiple of p.  One
+    comprehension per e collects the r with r^e < 2; the mask holds the
+    rest.
+    """
+    others = 0
+    for e in _root_exponents(p):
+        others |= sum([1 << r for r in range(2, _MASK_ROOTS) if pow(r, e, p) < 2])
+    return ((1 << _MASK_ROOTS) - 4) & ~others
+
+
 def scan_pq_pairs(limit: int, mode: str = "qr", k: int | None = None) -> ScanReport:
     """Prime pairs p < q <= limit admissible for the two-prime recipes.
 
@@ -185,9 +201,9 @@ def scan_pq_pairs(limit: int, mode: str = "qr", k: int | None = None) -> ScanRep
     recipe needs to be 2.
 
     Each base prime p gets one mask, bit r set for each r in
-    2.._MASK_ROOTS - 1 that is a primitive root mod p (r >= p is taken
-    mod p), so a pair's smallest common root is the lowest bit of the
-    AND of its two masks.  When that AND is empty, which few pairs meet,
+    2.._MASK_ROOTS - 1 that is a primitive root mod p (_root_mask), so a
+    pair's smallest common root is the lowest bit of the AND of its two
+    masks.  When that AND is empty, which few pairs meet,
     find_common_primitive_root searches from 2 again.
     """
     if mode == "qr":
@@ -202,22 +218,22 @@ def scan_pq_pairs(limit: int, mode: str = "qr", k: int | None = None) -> ScanRep
         kind = f"pq-pairs-cyclotomic-{k}"
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    _require_scan_bound(len(base) * (len(base) - 1) // 2, f"{kind} up to {limit}")
-    masks = [sum(1 << r for r in range(2, _MASK_ROOTS) if is_primitive_root(r, p)) for p in base]
+    size = len(base)
+    _require_scan_bound(size * (size - 1) // 2, f"{kind} up to {limit}")
+    masks = [_root_mask(p) for p in base]
     hits = []
-    for i, (p, mask_p) in enumerate(zip(base, masks)):
-        for q, mask_q in zip(base[i + 1 :], masks[i + 1 :]):
+    for i in range(size):
+        p, mask_p = base[i], masks[i]
+        for j in range(i + 1, size):
+            q = base[j]
             if (q - 1) % (p - 1) == 0:
                 continue
-            params = {"p": p, "q": q}
-            if mode == "cyclotomic":
-                params["k"] = k
-            common = mask_p & mask_q
+            common = mask_p & masks[j]
             root = (common & -common).bit_length() - 1 if common else find_common_primitive_root(p, q)
             hits.append(
                 ScanHit(
-                    params=params,
-                    certificates={"common_root": root, "gcd_p1_q1": math.gcd(p - 1, q - 1)},
+                    {"p": p, "q": q} if k is None else {"p": p, "q": q, "k": k},
+                    {"common_root": root, "gcd_p1_q1": math.gcd(p - 1, q - 1)},
                 )
             )
     return ScanReport(kind=kind, bound=limit, hits=tuple(hits))

@@ -428,6 +428,37 @@ def test_two_in_coset_refuses_equal_primes(monkeypatch):
     assert check_two_in_coset(1481, 281, 3, 3) is False
 
 
+def test_two_in_coset_takes_no_log_when_the_gcd_is_two_to_the_k(monkeypatch):
+    # gcd(p-1, q-1) = 8 = 2^3: the logs of 2 need agree only mod 8, where the
+    # class tests put both at 4, so the certificate takes no log.  113 =
+    # 2^3 * 14 + 1 has an even t.
+    def refuse(*args):
+        raise AssertionError("discrete_log called")
+
+    monkeypatch.setattr(constructions, "discrete_log", refuse)
+    assert math.gcd(281 - 1, 1033 - 1) == math.gcd(113 - 1, 1033 - 1) == 8
+    assert check_two_in_coset(281, 1033, 3, 11) is True
+    assert check_two_in_coset(113, 1033, 3, 5) is True
+    assert _in_half_shift(2, 11, 281, 1033, 8) is True
+
+
+def test_two_in_coset_takes_both_logs_when_the_gcd_exceeds_two_to_the_k(monkeypatch):
+    # gcd 56 and 16: one log mod p and one mod q, each in the subgroup of
+    # order gcd(p-1, q-1).
+    calls = []
+
+    def counted(x, r, m, order):
+        calls.append((m, order))
+        return modnt.discrete_log(x, r, m, order)
+
+    monkeypatch.setattr(constructions, "discrete_log", counted)
+    for p, q, r, g in ((281, 617, 3, 56), (113, 577, 5, 16)):
+        calls.clear()
+        assert math.gcd(p - 1, q - 1) == g
+        assert check_two_in_coset(p, q, 3, r) is True
+        assert calls == [(p, g), (q, g)]
+
+
 def test_in_half_shift_matches_the_walk_of_the_common_root():
     # For every pair of odd primes p < q below 60 and every unit x mod pq:
     # x lies in r^(delta/2) <r^delta> exactly when the walk r^e,
@@ -456,21 +487,40 @@ def test_projected_logs_match_the_full_group_logs():
     # gcd(p-1, q-1); the oracle takes them in the full groups, by
     # successive powers.  Every pair of cyclotomic primes below 3000 for
     # k = 3 and 4, and x in {2, -1, 3, 5, 7}, each a unit mod pq here.
-    checked = Counter()
+    # Then each prime 2^k t + 1 < 3000 with t even, paired with each of
+    # those primes that makes gcd(p-1, q-1) = 2^k, where the class tests
+    # decide with no log; where 2 is in the half-shift class mod both,
+    # check_two_in_coset says True.
+    checked, certified = Counter(), Counter()
     for k in (3, 4):
+        delta = 1 << k
         primes = [hit.params["p"] for hit in scan_cyclotomic_primes(k, 3000).hits]
-        for i, p in enumerate(primes):
-            for q in primes[i + 1 :]:
-                r, delta = find_common_primitive_root(p, q), 1 << k
-                for x in (2, -1, 3, 5, 7):
-                    x %= p * q
-                    assert x % p and x % q
-                    expected = full_group_in_half_shift(x, r, p, q, delta)
-                    assert _in_half_shift(x, r, p, q, delta) == expected, (p, q, k, x)
-                    checked[k, expected] += 1
-                assert check_two_in_coset(p, q, k, r) == full_group_in_half_shift(2, r, p, q, delta), (p, q, k)
-    # Both verdicts occur at both k.
-    assert set(checked) == {(3, True), (3, False), (4, True), (4, False)}, checked
+        even_t = [p for p in range(2 * delta + 1, 3000, 2 * delta) if trial_division_prime(p)]
+        pairs = [(p, q) for i, p in enumerate(primes) for q in primes[i + 1 :]]
+        pairs += [(p, q) for p in even_t for q in primes if math.gcd(p - 1, q - 1) == delta]
+        for p, q in pairs:
+            r = find_common_primitive_root(p, q)
+            for x in (2, -1, 3, 5, 7):
+                x %= p * q
+                assert x % p and x % q
+                expected = full_group_in_half_shift(x, r, p, q, delta)
+                assert _in_half_shift(x, r, p, q, delta) == expected, (p, q, k, x)
+                checked[k, expected, math.gcd(p - 1, q - 1) == delta] += 1
+            if in_half_class(2, p, p - 1, delta):
+                expected = full_group_in_half_shift(2, r, p, q, delta)
+                assert check_two_in_coset(p, q, k, r) == expected, (p, q, k)
+                # With gcd 2^k the hypotheses' class tests are the verdict.
+                assert expected or math.gcd(p - 1, q - 1) > delta, (p, q, k)
+                certified[k, expected, "even t" if (p - 1) >> k & 1 == 0 else "odd t"] += 1
+    # Both verdicts occur at both k, with a log and without.
+    assert set(checked) == {(k, v, no_log) for k in (3, 4) for v in (True, False) for no_log in (True, False)}
+    assert certified == {
+        (3, True, "even t"): 96,
+        (3, True, "odd t"): 54,
+        (3, False, "odd t"): 12,
+        (4, True, "even t"): 4,
+        (4, True, "odd t"): 3,
+    }
 
 
 def test_two_in_coset_accepts_even_t():

@@ -238,6 +238,21 @@ def test_scan_pq_pairs_common_roots_match_the_naive_search():
     }
 
 
+def test_root_masks_match_the_primitive_root_test():
+    # Bit r of a prime's mask, 2 <= r < 64, says whether r is a primitive
+    # root mod p, for every odd prime p < 5000.  Below 64 the multiples of p
+    # stay clear: their powers are 0, not 1 (22^5 = 0 mod 11).
+    checked = 0
+    for p in range(3, 5000, 2):
+        if trial_division_prime(p):
+            expected = sum(1 << r for r in range(2, search._MASK_ROOTS) if search.is_primitive_root(r, p))
+            assert search._root_mask(p) == expected, p
+            checked += 1
+    assert checked == 668
+    assert pow(22, 5, 11) == 0 and not search._root_mask(11) >> 22 & 1
+    assert search._root_mask(3) == sum(1 << r for r in range(2, 64, 3))
+
+
 def test_scan_pq_pairs_qr_mode_refuses_k():
     # The mirror of "cyclotomic mode needs k": a k is refused, not dropped.
     with pytest.raises(ValueError, match="qr mode takes no k"):
