@@ -37,8 +37,8 @@ mod q, t1 and t2 odd, agree mod gcd(p-1, q-1) and are delta/2 mod
 delta.  2 is settled by the hypotheses of pq_starter and checked
 first by pq_cyclotomic_starter.  The coset certificates compute only
 what their hypotheses leave open: nothing for -1, and for
-check_two_in_coset, when gcd(p-1, q-1) = delta, two power-residue
-tests, which its hypotheses already passed; for a larger gcd, the logs
+check_two_in_coset, when gcd(p-1, q-1) = delta, nothing beyond the
+two power-residue tests of its hypotheses; for a larger gcd, the logs
 of 2 mod p and mod q, each taken in the subgroup of order
 gcd(p-1, q-1).
 
@@ -313,14 +313,18 @@ def _in_half_shift(x: int, root: int, p: int, q: int, delta: int) -> bool:
     root a common primitive root of p and q and delta a power of 2
     dividing p-1 and q-1.
 
+    Precondition: x lies in the half-shift class root^(delta/2)
+    <root^delta> mod p and mod q (modnt.in_half_class), as both callers
+    have just required of x = 2.
+
     Write x = root^ep mod p and root^eq mod q.  Then x is root^e for an
     e = ep (mod p-1), eq (mod q-1), which exists exactly when
     ep = eq (mod g), g = gcd(p-1, q-1), and e = ep (mod delta).  Only
     ep and eq mod g are needed, as delta divides g.
 
-    When g = delta, that asks only for ep = eq = delta/2 (mod delta):
-    x in the half-shift class mod p and mod q, each a power-residue
-    test (modnt.in_half_class), with no discrete log.  Otherwise each
+    When g = delta, that asks only for ep = eq = delta/2 (mod delta),
+    which is the precondition: the result is True, with no test and no
+    discrete log.  Otherwise each
     log is taken in the subgroup of order g (Pohlig-Hellman): with
     c = (p-1)/g, x^c = (root^c)^ep mod p, root^c of order g.  So each
     baby-step/giant-step run takes about sqrt(g) steps, not
@@ -328,7 +332,7 @@ def _in_half_shift(x: int, root: int, p: int, q: int, delta: int) -> bool:
     """
     g = math.gcd(p - 1, q - 1)
     if g == delta:
-        return in_half_class(x, p, p - 1, delta) and in_half_class(x, q, q - 1, delta)
+        return True
     ep, eq = (discrete_log(pow(x, (m - 1) // g, m), pow(root, (m - 1) // g, m), m, g) for m in (p, q))
     return ep == eq and ep % delta == delta >> 1
 
@@ -530,7 +534,8 @@ def check_two_in_coset(p: int, q: int, k: int, r: int) -> bool:
     mod p and mod q.  The conclusion -- 2 lies in that coset mod pq --
     is then decided by the congruence of its logs mod p and mod q,
     each taken in the subgroup of order gcd(p-1, q-1) (_in_half_shift).
-    When gcd(p-1, q-1) = 2^k the class tests settle it with no log:
+    When gcd(p-1, q-1) = 2^k the hypotheses' class tests settle it,
+    with no log and no test repeated:
     the two logs need agree only mod 2^k, where both are 2^(k-1), so
     the result is True.
     """

@@ -10,8 +10,10 @@ top of the base property:
   cardioidal -- every pair has the doubling shape {x, 2x mod n}
 
 A Starter keeps its canonical pairs as two int columns, lows and
-highs, sorted in (lo, hi) order.  Starter.from_pairs validates and
-canonicalizes on one of two paths: a sized input of at least 64 pairs
+highs, sorted in (lo, hi) order.  Starter.from_pairs tests each pair
+(a, b) as 0 < a < b < n first: a pair already canonical passes as it
+is, and only one that fails is reduced mod n, swapped or refused.  It
+sorts the pairs on one of two paths: a sized input of at least 64 pairs
 with n <= 4 * len(pairs) is sorted by counting, in a list of n slots
 indexed by lo; any other input, and one where a lo meets a second hi,
 goes through a set of keys lo * n + hi and a sort.  The counting
@@ -143,6 +145,9 @@ class Starter:
         The modulus and every pair member must be a plain int (a bool
         or other int subclass is not);
         pairs must be iterable, every pair of exactly two members.
+        A pair (a, b) with 0 < a < b < n is canonical and kept as it
+        is; only a pair that fails this test is reduced mod n, then
+        swapped or refused (a member 0 mod n, or members equal mod n).
 
         A sized input of at least _COUNTING_MIN_PAIRS pairs with
         n <= 4 * len(pairs) is sorted by counting: partner[lo] = hi in
@@ -169,14 +174,14 @@ class Starter:
                 raise MalformedStarter(f"pair {pr!r} does not have exactly two members") from None
             if type(a) is not int or type(b) is not int:
                 raise MalformedStarter(f"pair {pr!r} has a member that is not an integer")
-            a %= modulus
-            b %= modulus
-            if not 0 < a < b:
+            if not 0 < a < b < modulus:
+                a %= modulus
+                b %= modulus
                 if 0 < b < a:
                     a, b = b, a
                 elif a == 0 or b == 0:
                     raise MalformedStarter(f"pair ({a}, {b}) contains 0 mod {modulus}")
-                else:
+                elif a == b:
                     raise MalformedStarter(f"pair members coincide: {a} mod {modulus}")
             if partner is None:
                 add(a * modulus + b)
@@ -271,6 +276,11 @@ def _verify_all(s: Starter) -> tuple[str | None, str | None, str | None, str | N
     verifier's docstring names, None where the verdict holds; finding
     a starter or Skolem witness rescans the pairs, on failure only.
     Expects the canonical pairs from_pairs makes: 0 < lo < hi < n.
+
+    On such a pair the doubling test needs no mod: 2*lo - hi lies
+    strictly between -n and n, so it is 0 mod n only when hi == 2*lo,
+    and 2*hi - lo strictly between 0 and 2*n, so it is 0 mod n only
+    when lo == 2*hi - n.
     """
     n, k, lows, highs = s.modulus, s.k, s.lows, s.highs
     if len(lows) != k:
@@ -297,7 +307,7 @@ def _verify_all(s: Starter) -> tuple[str | None, str | None, str | None, str | N
             else:
                 a = by_sum[t]
                 strong = f"pairs ({a}, {(t - a) % n}) and ({lo}, {hi}) share sum {t} mod {n}"
-        if cardioidal is None and (2 * lo - hi) % n and (2 * hi - lo) % n:
+        if cardioidal is None and hi != 2 * lo and lo != 2 * hi - n:
             cardioidal = f"pair ({lo}, {hi}) is not a doubling pair mod {n}"
 
     # k pairs fill the n - 1 member slots, the k classes and (when
@@ -426,6 +436,7 @@ def starter_to_dict(s: Starter) -> dict[str, Any]:
 
 
 _DOCUMENT_KEYS = ("modulus", "pairs", "recipe", "classification")
+_DOCUMENT_KEY_SET = frozenset(_DOCUMENT_KEYS)
 
 
 def _same_json(value: Any, want: Any) -> bool:
@@ -440,29 +451,35 @@ def _same_json(value: Any, want: Any) -> bool:
 def starter_from_dict(doc: dict[str, Any]) -> Starter:
     """Decode and validate a starter document; MalformedStarter if it
     is not one.  A classification other than null must be exactly the
-    one classify gives for the pairs; the starter carries that one."""
+    one classify gives for the pairs; the starter carries that one.
+
+    The lists of missing and unknown keys are built only to refuse.  The
+    recipe and classification are written into the starter from_pairs
+    has just made, which nothing else holds yet."""
     if not isinstance(doc, dict):
         raise MalformedStarter(f"a starter document is a JSON object, got {type(doc).__name__}")
-    missing = [key for key in ("modulus", "pairs") if key not in doc]
-    if missing:
+    if "modulus" not in doc or "pairs" not in doc:
+        missing = [key for key in ("modulus", "pairs") if key not in doc]
         raise MalformedStarter(f"starter document lacks {' and '.join(missing)}")
-    unknown = [key for key in doc if key not in _DOCUMENT_KEYS]
-    if unknown:
+    if not doc.keys() <= _DOCUMENT_KEY_SET:
+        unknown = [key for key in doc if key not in _DOCUMENT_KEY_SET]
         raise MalformedStarter(f"unknown keys in starter document: {', '.join(map(repr, unknown))}")
-    if not isinstance(doc["pairs"], list):
-        raise MalformedStarter(f"pairs must be a list, got {type(doc['pairs']).__name__}")
+    pairs = doc["pairs"]
+    if not isinstance(pairs, list):
+        raise MalformedStarter(f"pairs must be a list, got {type(pairs).__name__}")
     recipe = doc.get("recipe")
     if recipe is not None and not isinstance(recipe, dict):
         raise MalformedStarter(f"recipe must be an object or null, got {type(recipe).__name__}")
-    s = Starter.from_pairs(doc["modulus"], doc["pairs"])
+    s = Starter.from_pairs(doc["modulus"], pairs)
+    _set(s, "recipe", recipe)
     cls = doc.get("classification")
-    if cls is None:
-        return s.with_metadata(recipe=recipe)
-    computed = classify(s)
-    want = computed.to_dict()
-    if not _same_json(cls, want):
-        raise MalformedStarter(f"classification is not the one its pairs give: {_dumps(want)}")
-    return s.with_metadata(recipe=recipe, classification=computed)
+    if cls is not None:
+        computed = classify(s)
+        want = computed.to_dict()
+        if not _same_json(cls, want):
+            raise MalformedStarter(f"classification is not the one its pairs give: {_dumps(want)}")
+        _set(s, "classification", computed)
+    return s
 
 
 def _dumps(value: Any, **options: Any) -> str:

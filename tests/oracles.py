@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterable, Sized
 
 from skolem_starters.modnt import InvalidModulus, NotAUnit
 from skolem_starters.starters import Classification, MalformedStarter, Pair, Starter
@@ -166,6 +167,51 @@ def canonical_pairs(n: int, pairs: list[tuple[int, int]]) -> tuple[tuple[int, in
         if a == 0 or b == 0 or a == b:
             raise MalformedStarter(f"pair ({a}, {b}) is not a pair of Z_{n}")
     return tuple(sorted({(min(a, b), max(a, b)) for a, b in reduced}))
+
+
+def reference_from_pairs(modulus: int, pairs) -> Starter:
+    """Starter.from_pairs as it was before it tested each pair's range
+    first: every member reduced mod n, then ordered or refused.  The
+    same two paths -- counting for a sized input of at least 64 pairs
+    with n <= 4 * len(pairs), else a set of keys lo * n + hi -- the
+    same fallback from the one to the other, and the same texts."""
+    if type(modulus) is not int or modulus < 3 or modulus % 2 == 0:
+        raise MalformedStarter(f"modulus must be an odd integer >= 3, got {modulus!r}")
+    if not isinstance(pairs, Iterable):
+        raise MalformedStarter(f"pairs must be iterable, got {type(pairs).__name__}")
+    counting = isinstance(pairs, Sized) and 64 <= len(pairs) and modulus <= 4 * len(pairs)
+    partner: list[int] | None = [0] * modulus if counting else None
+    keys: set[int] = set()
+    for pr in pairs:
+        try:
+            a, b = pr
+        except (TypeError, ValueError):
+            raise MalformedStarter(f"pair {pr!r} does not have exactly two members") from None
+        if type(a) is not int or type(b) is not int:
+            raise MalformedStarter(f"pair {pr!r} has a member that is not an integer")
+        a %= modulus
+        b %= modulus
+        if not 0 < a < b:
+            if 0 < b < a:
+                a, b = b, a
+            elif a == 0 or b == 0:
+                raise MalformedStarter(f"pair ({a}, {b}) contains 0 mod {modulus}")
+            else:
+                raise MalformedStarter(f"pair members coincide: {a} mod {modulus}")
+        if partner is None:
+            keys.add(a * modulus + b)
+        elif not partner[a]:
+            partner[a] = b
+        elif partner[a] != b:
+            keys.update([lo * modulus + hi for lo, hi in enumerate(partner) if hi])
+            partner = None
+            keys.add(a * modulus + b)
+    if partner is not None:
+        lows = [lo for lo, hi in enumerate(partner) if hi]
+        return Starter(modulus, tuple(lows), tuple([partner[lo] for lo in lows]))
+    ordered = sorted(keys)
+    return Starter(modulus, tuple([key // modulus for key in ordered]),
+                   tuple([key % modulus for key in ordered]))
 
 
 # --- the original verifiers ---------------------------------------------------

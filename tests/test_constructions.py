@@ -459,10 +459,33 @@ def test_two_in_coset_takes_both_logs_when_the_gcd_exceeds_two_to_the_k(monkeypa
         assert calls == [(p, g), (q, g)]
 
 
+def _in_coset(x, r, p, q, delta):
+    """x lies in r^(delta/2) <r^delta> mod pq: x in the half-shift class mod
+    p and mod q, which the coset implies and _in_half_shift presumes, and
+    then _in_half_shift."""
+    return in_half_class(x, p, p - 1, delta) and in_half_class(x, q, q - 1, delta) \
+        and _in_half_shift(x, r, p, q, delta)
+
+
+def test_two_in_coset_repeats_no_class_test_when_the_gcd_is_two_to_the_k(monkeypatch):
+    # gcd(280, 1032) = 8: the hypotheses test 2 mod 281 and mod 1033, and
+    # nothing tests it again.
+    calls = []
+
+    def counted(x, m, order, delta):
+        calls.append((x, m))
+        return in_half_class(x, m, order, delta)
+
+    monkeypatch.setattr(constructions, "in_half_class", counted)
+    assert check_two_in_coset(281, 1033, 3, 11) is True
+    assert calls == [(2, 281), (2, 1033)]
+
+
 def test_in_half_shift_matches_the_walk_of_the_common_root():
     # For every pair of odd primes p < q below 60 and every unit x mod pq:
     # x lies in r^(delta/2) <r^delta> exactly when the walk r^e,
-    # e < lcm(p-1, q-1), visits x at an e = delta/2 (mod delta).
+    # e < lcm(p-1, q-1), visits x at an e = delta/2 (mod delta).  _in_half_shift
+    # decides it behind the class tests it presumes (_in_coset).
     primes = [p for p in range(3, 60) if trial_division_prime(p)]
     checked = Counter()
     for i, p in enumerate(primes):
@@ -476,7 +499,7 @@ def test_in_half_shift_matches_the_walk_of_the_common_root():
                 for x in range(1, m):
                     if x % p and x % q:
                         visited = x in exponent and exponent[x] % delta == delta >> 1
-                        assert _in_half_shift(x, r, p, q, delta) == visited, (p, q, delta, x)
+                        assert _in_coset(x, r, p, q, delta) == visited, (p, q, delta, x)
                 checked[delta] += 1
     assert checked[2] == len(primes) * (len(primes) - 1) // 2
     assert checked[4] and checked[8]
@@ -486,7 +509,8 @@ def test_projected_logs_match_the_full_group_logs():
     # The logs mod p and mod q are taken in the subgroup of order
     # gcd(p-1, q-1); the oracle takes them in the full groups, by
     # successive powers.  Every pair of cyclotomic primes below 3000 for
-    # k = 3 and 4, and x in {2, -1, 3, 5, 7}, each a unit mod pq here.
+    # k = 3 and 4, and x in {2, -1, 3, 5, 7}, each a unit mod pq here,
+    # behind the class tests _in_half_shift presumes (_in_coset).
     # Then each prime 2^k t + 1 < 3000 with t even, paired with each of
     # those primes that makes gcd(p-1, q-1) = 2^k, where the class tests
     # decide with no log; where 2 is in the half-shift class mod both,
@@ -504,7 +528,7 @@ def test_projected_logs_match_the_full_group_logs():
                 x %= p * q
                 assert x % p and x % q
                 expected = full_group_in_half_shift(x, r, p, q, delta)
-                assert _in_half_shift(x, r, p, q, delta) == expected, (p, q, k, x)
+                assert _in_coset(x, r, p, q, delta) == expected, (p, q, k, x)
                 checked[k, expected, math.gcd(p - 1, q - 1) == delta] += 1
             if in_half_class(2, p, p - 1, delta):
                 expected = full_group_in_half_shift(2, r, p, q, delta)
@@ -1017,7 +1041,7 @@ def test_minus_one_and_two_lie_in_the_half_shift_coset_of_every_pq_starter():
             continue
         delta = 1 << (r.k or 1)
         for x in (2, r.p * r.q - 1):
-            assert _in_half_shift(x, r.root, r.p, r.q, delta), (recipe, args, x)
+            assert _in_coset(x, r.root, r.p, r.q, delta), (recipe, args, x)
         checked[recipe] += 1
     assert set(checked) == {"pq_starter", "pq_cyclotomic_starter"}
     # Every pair below 400 that pq_starter's hypotheses admit with gcd 2,

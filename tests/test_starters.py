@@ -30,6 +30,7 @@ from skolem_starters.starters import (
     verify_starter,
     verify_strong,
 )
+import oracles
 from oracles import canonical_pairs
 
 # The published 9-pair strong Skolem starter for Z_19 -- the golden fixture.
@@ -471,6 +472,90 @@ def test_counting_sort_matches_the_oracle(data):
     assert (s.lows, s.highs) == (t.lows, t.highs)
 
 
+def _shaped_pair(draw, n, a, b):
+    """The pair {a, b} of Z_n as from_pairs may be given it: canonical,
+    swapped, or with each member shifted by -2n..2n."""
+    lo, hi = min(a, b), max(a, b)
+    shape = draw(st.sampled_from(["canonical", "swapped", "shifted"]), label="shape")
+    if shape == "canonical":
+        return lo, hi
+    if shape == "swapped":
+        return hi, lo
+    i, j = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+    return (a + i * n, b + j * n) if draw(st.booleans()) else (b + i * n, a + j * n)
+
+
+def _bad_pair(draw, n):
+    """A pair from_pairs refuses: a member 0 mod n, members equal mod n, a
+    bool or float member, or the wrong number of members."""
+    a = draw(st.integers(1, n - 1))
+    i, j = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+    kind = draw(st.sampled_from(["zero", "equal", "bool", "float", "members"]), label="bad")
+    if kind == "zero":
+        return draw(st.permutations([i * n, a + j * n]))
+    if kind == "equal":
+        return a + i * n, a + j * n
+    if kind == "bool":
+        return draw(st.permutations([draw(st.booleans()), a]))
+    if kind == "float":
+        return draw(st.permutations([float(a), draw(st.integers(1, n - 1))]))
+    return draw(st.sampled_from([(), (a,), (a, a + 1, a + 2), a, None, [a, 1, 2]]))
+
+
+@st.composite
+def _reference_inputs(draw):
+    """An odd n and pairs for from_pairs and the reference loop: up to 12
+    pairs of small n (the key set), or a real starter of n >= 129, shuffled
+    (at least 64 pairs with n <= 4 * len, the counting path); each pair
+    shaped by _shaped_pair.  Now and then a few pairs of Z_n are added,
+    which may give a lo a second hi, and now and then a pair that is
+    refused."""
+    if draw(st.booleans(), label="counting"):
+        n = draw(st.integers(64, 150), label="k") * 2 + 1
+        base = draw(st.permutations(_real_starter(n)))
+    else:
+        n = draw(st.integers(1, 40), label="k") * 2 + 1
+        base = draw(st.lists(st.tuples(st.integers(1, n - 1), st.integers(1, n - 1)).filter(
+            lambda pr: pr[0] != pr[1]), max_size=12))
+    pairs = [_shaped_pair(draw, n, a, b) for a, b in base]
+    if n > 3 and draw(st.booleans(), label="extra"):
+        for _ in range(draw(st.integers(1, 3))):
+            a = draw(st.integers(1, n - 2))
+            pairs.insert(draw(st.integers(0, len(pairs))),
+                         _shaped_pair(draw, n, a, draw(st.integers(a + 1, n - 1))))
+    if draw(st.booleans(), label="refused"):
+        for _ in range(draw(st.integers(1, 2))):
+            pairs.insert(draw(st.integers(0, len(pairs))), _bad_pair(draw, n))
+    return n, pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_reference_inputs())
+@example(case=(19, [(18, 17), (4, 2), (25, -13), (0, 5)]))
+@example(case=(19, [(1, 2), (3, 19)]))
+@example(case=(19, [(1, 2), (20, 40)]))
+@example(case=(7, [(1, 2), (True, 3)]))
+@example(case=(7, [(1, 2), (3.0, 5)]))
+@example(case=(7, [(1, 2), (1, 2, 3)]))
+def test_from_pairs_matches_the_reference_loop(case):
+    # The range-first from_pairs against the loop that reduced every
+    # member first: the same columns, or the same MalformedStarter text,
+    # on a list (the counting path when it is long enough) and on an
+    # iterator (always the key set).
+    n, pairs = case
+    for given_as in (list, iter):
+        try:
+            want = oracles.reference_from_pairs(n, given_as(pairs))
+        except MalformedStarter as exc:
+            with pytest.raises(MalformedStarter) as got:
+                Starter.from_pairs(n, given_as(pairs))
+            assert str(got.value) == str(exc)
+            continue
+        s = Starter.from_pairs(n, given_as(pairs))
+        assert (s.modulus, s.lows, s.highs) == (want.modulus, want.lows, want.highs)
+        assert type(s.lows) is tuple and type(s.highs) is tuple
+
+
 def test_a_huge_modulus_with_few_pairs_allocates_nothing_of_its_size():
     # A sized input with n > 4 * len(pairs) takes the key set: no list
     # of n slots, so this returns at once and not after gigabytes.
@@ -718,6 +803,70 @@ def test_decoded_classification_must_be_the_pairs_own(capsys, tmp_path, cls):
     back = starter_from_dict(Z3_DOC)
     assert back.classification == classify(back)
     assert back.classification.to_dict() == Z3_DOC["classification"]
+
+
+_Z3_CLASSIFICATION_TEXT = (
+    'classification is not the one its pairs give: {"starter": true, "strong": false, "skolem": true, '
+    '"cardioidal": true, "dependent": false, "witnesses": {"strong": "pair (1, 2) has sum 0 mod 3"}}'
+)
+
+
+@pytest.mark.parametrize(
+    "doc, text",
+    [
+        pytest.param([], "a starter document is a JSON object, got list", id="not-an-object"),
+        pytest.param({"pairs": [[1, 2]]}, "starter document lacks modulus", id="no-modulus"),
+        pytest.param({"modulus": 3}, "starter document lacks pairs", id="no-pairs"),
+        pytest.param({}, "starter document lacks modulus and pairs", id="neither"),
+        pytest.param({"recipe": None, "extra": 1}, "starter document lacks modulus and pairs",
+                     id="missing-before-unknown"),
+        pytest.param({"zeta": 1, "modulus": 3, "Alpha": 2, "pairs": [[1, 2]], 1: 3, "recipe": None},
+                     "unknown keys in starter document: 'zeta', 'Alpha', 1", id="unknown-in-document-order"),
+        pytest.param({"modulus": 3, "pairs": ((1, 2),), "zeta": 1}, "unknown keys in starter document: 'zeta'",
+                     id="unknown-before-pairs"),
+        pytest.param({"modulus": 3, "pairs": ((1, 2),)}, "pairs must be a list, got tuple", id="pairs-tuple"),
+        pytest.param({"modulus": 3, "pairs": "12", "recipe": 5}, "pairs must be a list, got str",
+                     id="pairs-before-recipe"),
+        pytest.param({"modulus": 3, "pairs": [[1, 2]], "recipe": [1]}, "recipe must be an object or null, got list",
+                     id="recipe-list"),
+        pytest.param({"modulus": 3, "pairs": [[1, 2]], "recipe": False}, "recipe must be an object or null, got bool",
+                     id="recipe-false"),
+        pytest.param({"modulus": 3, "pairs": [[1, 3]], "recipe": "qr"}, "recipe must be an object or null, got str",
+                     id="recipe-before-pairs-values"),
+        pytest.param({"modulus": 3, "pairs": [[1, 3]], "classification": dict(Z3_DOC["classification"], strong=True)},
+                     "pair (1, 0) contains 0 mod 3", id="pairs-before-classification"),
+        pytest.param({"modulus": 4, "pairs": [[1, 2]], "classification": []},
+                     "modulus must be an odd integer >= 3, got 4", id="modulus"),
+        pytest.param(dict(Z3_DOC, classification=dict(Z3_DOC["classification"], strong=True)),
+                     _Z3_CLASSIFICATION_TEXT, id="classification-flipped"),
+        pytest.param(dict(Z3_DOC, classification=[]), _Z3_CLASSIFICATION_TEXT, id="classification-list"),
+    ],
+)
+def test_starter_from_dict_refusal_texts(doc, text):
+    # Each refusal names its defect in these words, the first defect in
+    # this order: shape, missing keys, unknown keys, pairs, recipe, the
+    # pairs' values, classification.  The document is left as it was.
+    before = copy.deepcopy(doc)
+    with pytest.raises(MalformedStarter) as refused:
+        starter_from_dict(doc)
+    assert str(refused.value) == text
+    assert doc == before
+
+
+@pytest.mark.parametrize("classified", [False, True])
+def test_starter_from_dict_attaches_the_recipe_and_the_classification(classified):
+    recipe = {"method": "qr", "p": 3, "steps": [[1, 2]]}
+    doc = dict(Z3_DOC, recipe=recipe, classification=Z3_DOC["classification"] if classified else None)
+    before = copy.deepcopy(doc)
+    s = starter_from_dict(doc)
+    assert (s.modulus, s.lows, s.highs) == (3, (1,), (2,))
+    assert s.recipe is recipe
+    if classified:
+        assert s.classification == classify(s)
+        assert s.classification.to_dict() == Z3_DOC["classification"]
+    else:
+        assert s.classification is None
+    assert doc == before and doc["recipe"] is recipe
 
 
 def test_one_verification_pass_per_starter(monkeypatch, z19):

@@ -121,3 +121,24 @@ def test_wrong_size_candidates(n, size):
     assert_same_verdicts(s)
     with pytest.raises(MalformedStarter):
         oracles.classify(s)
+
+
+def test_doubling_test_without_mod_on_every_canonical_pair():
+    # For 0 < lo < hi < n the fused verifier reads hi = 2 lo and
+    # lo = 2 hi (mod n) as hi == 2*lo and lo == 2*hi - n.  Every canonical
+    # pair of every odd n <= 61, on a starter made of k copies of it, gets
+    # the oracle's verdict and witness, which take the mod.
+    doubling = 0
+    for n in range(3, 62, 2):
+        k = (n - 1) // 2
+        for lo in range(1, n):
+            for hi in range(lo + 1, n):
+                mod_form = (2 * lo - hi) % n == 0 or (2 * hi - lo) % n == 0
+                assert (hi == 2 * lo or lo == 2 * hi - n) == mod_form, (n, lo, hi)
+                s = Starter(n, (lo,) * k, (hi,) * k)
+                assert verify_cardioidal(s) == oracles.verify_cardioidal(s), (n, lo, hi)
+                assert verify_cardioidal(s)[0] is mod_form
+                doubling += mod_form
+    # The pairs {x, 2x mod n}, 0 < x < n: n - 1 of them, one fewer when
+    # 3 | n, where x = n/3 and 2n/3 make the same pair.
+    assert doubling == sum(n - 1 - (n % 3 == 0) for n in range(3, 62, 2))
