@@ -16,7 +16,10 @@ largest difference is placed only in the lower half of its range,
 and find_all adds the mirrored solutions in search order.  The plain
 search also skips subproblems already proven to have no completion,
 kept in a table of fixed size keyed by the free positions up to
-translation.  The search uses neither the n mod 8 law nor a parity
+translation, and, in a long proof at n <= 27, looks its last four
+differences up in a set of every free set, up to translation, that
+they can fill, so it never searches them; neither changes a result or
+its order.  The search uses neither the n mod 8 law nor a parity
 argument, so it stays an independent check of that law.
 enumerate_starters lists every starter outright, on bitmasks of the
 free elements and the used difference classes, as an independent
@@ -254,6 +257,13 @@ _ENUMERATION_BOUND = 15
 _DEAD_BYTE_SLOTS = 526367
 _DEAD_SLOTS = 65521
 _DEAD_DEPTH = 6
+# The live-key set of the plain search: the last _LIVE_DEPTH differences
+# are looked up, not searched, and depth 0 builds no set.  It is built at
+# spans n - 2 <= _LIVE_SPAN (19 745 keys at span 25), once the search
+# has charged _LIVE_COST * (n - 2)^3 candidates, about the build's cost.
+_LIVE_DEPTH = 4
+_LIVE_SPAN = 25
+_LIVE_COST = 2
 
 
 def _dead_table(n: int) -> bytearray | list[int]:
@@ -261,6 +271,37 @@ def _dead_table(n: int) -> bytearray | list[int]:
     if 1 << (n - 2) <= 255 * _DEAD_BYTE_SLOTS:
         return bytearray(b"\xff") * _DEAD_BYTE_SLOTS
     return [-1] * _DEAD_SLOTS
+
+
+def _live_keys(m: int, span: int) -> set[int]:
+    """Every free set that differences 1..m fill exactly, up to translation.
+
+    A key is the set as a bitmask shifted down to bit 0, so it is odd,
+    has popcount 2m and lies below 2^(span + 1).  Position 0 is in
+    some pair (0, d0), so each d0 <= min(m, span) starts from it and
+    places the other differences, largest first, on every pair
+    (a, a + d) with 1 <= a <= span - d that is still free.  Each full
+    placement is added to the one set as it is made, so the build
+    holds no per-level copies.
+    """
+    pairs = [[1 << a | 1 << a + d for a in range(1, span - d + 1)] for d in range(m + 1)]
+    keys: set[int] = set()
+    add = keys.add
+    rows: list[list[int]] = []
+
+    def place(j: int, used: int) -> None:
+        if j < 0:
+            add(used)
+            return
+        for pair in rows[j]:
+            if not used & pair:
+                place(j - 1, used | pair)
+
+    for d0 in range(1, min(m, span) + 1):
+        rows = [pairs[d] for d in range(1, m + 1) if d != d0]
+        place(m - 2, 1 | 1 << d0)
+    del place  # place holds itself, as plain and strong do
+    return keys
 
 
 def exhaustive_skolem_search(
@@ -321,6 +362,24 @@ def exhaustive_skolem_search(
     not keep, and a table keyed on free | sums << n measured slower on
     the strong searches of n <= 33.
 
+    plain also looks the last m = _LIVE_DEPTH differences up, with no
+    search.  By the same argument, whether differences m..1 fill the 2m
+    positions of `free` exactly depends only on that set up to
+    translation, and not on n; its key spans at most n - 2.  So
+    _live_keys(m, n - 2) lists every key they can fill, and at level
+    m + 1 a child whose key is not in it has no completion and is
+    skipped, as a dead-table hit is, with no call and no charge.  The
+    children that pass are searched exactly as before, so the results,
+    their order and the exit codes do not change; in a nonexistence
+    proof none passes, and levels m..1 never run.  The set is built in
+    a refill, after the clock is read, so a search that times out there
+    never pays for it, and only once the search has charged _LIVE_COST
+    * (n - 2)^3 candidates, about the build's own cost, and only at
+    spans n - 2 <= _LIVE_SPAN: 8 865 keys at span 21, 19 745 at 25.
+    So plain find_all n = 19, 21 and the n = 21, 23 proofs build it,
+    and plain find_all n <= 17, first-found n >= 25 and every strong
+    search do not.  strong keeps no such set, for the reason above.
+
     Each call charges its candidate count to a budget of 4096 and,
     when the budget runs out, refills it and reads the clock, which a
     timeout of None never reads.  A table hit charges nothing, and the
@@ -357,10 +416,20 @@ def exhaustive_skolem_search(
     dead: bytearray | list[int] = []
     slots = span = 1
     dead_top = 0
+    # plain's live-key set and the level whose loop tests its children
+    # in it; 0 and no set until `granted` - budget, the candidates
+    # charged so far, reaches live_due.  None: no set for this search.
+    live: set[int] = set()
+    live_top = 0
+    granted = budget
+    live_due = None
+    if not require_strong and 0 < _LIVE_DEPTH < k and n - 2 <= _LIVE_SPAN:
+        live_due = _LIVE_COST * (n - 2) ** 3
 
     def tick() -> None:
-        nonlocal budget, dead, slots, span, dead_top
+        nonlocal budget, dead, slots, span, dead_top, granted, live, live_top, live_due
         budget += 4096
+        granted += 4096
         if not dead_top and not require_strong:
             dead = _dead_table(n)
             slots = len(dead)
@@ -368,6 +437,10 @@ def exhaustive_skolem_search(
             dead_top = min(_DEAD_DEPTH + 1, k)
         if deadline is not None and time.monotonic() > deadline:
             raise SearchTimeout(f"search at modulus {n} exceeded {timeout} s")
+        if live_due is not None and granted - budget >= live_due:
+            live = _live_keys(_LIVE_DEPTH, n - 2)
+            live_top = _LIVE_DEPTH + 1
+            live_due = None
 
     def leaf() -> bool:
         partner = [0] * n
@@ -385,6 +458,17 @@ def exhaustive_skolem_search(
         budget -= cand.bit_count()
         if budget < 0:
             tick()
+        if i == live_top:
+            # The live-key test: a child the last differences cannot fill costs no call and no charge.
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                rest = free ^ (low | low << i)
+                if rest // (rest & -rest) in live:
+                    chosen[i - 1] = low
+                    if plain(i - 1, rest):
+                        return True
+            return False
         if 2 < i <= dead_top:
             # The table test, inlined: a dead child costs no call and no charge.
             while cand:

@@ -362,6 +362,25 @@ def backtrack_skolem_search(n: int, *, require_strong: bool = False, find_all: b
     return solutions
 
 
+def backtrack_fills(positions: Iterable[int], m: int) -> bool:
+    """Whether disjoint pairs (a, a + d), one for each d in 1..m, cover
+    exactly `positions`, by backtracking over a set, largest d first."""
+    free = set(positions)
+
+    def place(d: int) -> bool:
+        if d == 0:
+            return not free
+        for a in sorted(free):
+            if a + d in free:
+                free.difference_update((a, a + d))
+                if place(d - 1):
+                    return True
+                free.update((a, a + d))
+        return False
+
+    return len(free) == 2 * m and place(m)
+
+
 # --- the original starter enumeration -----------------------------------------
 #
 # The bytearray walk that the bitmask enumerate_starters in

@@ -24,6 +24,7 @@ from skolem_starters.search import (
 from skolem_starters.starters import classify, negate_starter, Starter, verify_skolem, verify_strong
 from test_constructions import _record_primality_tests
 from oracles import (
+    backtrack_fills,
     backtrack_skolem_search,
     bytearray_enumerate_starters,
     multiplicative_order,
@@ -364,9 +365,9 @@ def test_search_without_timeout_never_reads_the_clock(monkeypatch):
 
 
 def test_search_reads_the_clock_once_per_4096_candidates(monkeypatch):
-    # The plain n = 21 proof charges 65 380 candidates (185 184 without
-    # the dead-state table): a clock read per call or per placement would
-    # exceed the bound.
+    # The plain n = 21 proof charges 42 599 candidates (65 380 without
+    # the live-key set, 185 184 without it and the dead-state table): a
+    # clock read per call or per placement would exceed the bound.
     reads = []
     real = search.time.monotonic
 
@@ -388,12 +389,18 @@ def test_search_results_do_not_depend_on_the_dead_state_table(monkeypatch):
     # 2^21 <= 255 S, so every value the n <= 23 runs store just fits a
     # byte and most writes evict.  Plain n = 41 is the least first-found
     # search with a solution that passes one clock budget, when the
-    # table is allocated.
+    # table is allocated.  The live-key set only skips a child that the
+    # last four differences cannot fill, so it too changes nothing: off
+    # (depth 0), on (built for plain n = 19 find_all, 21 and 23), and
+    # forced at the first tick of every plain search that reaches one,
+    # n = 41 at span 39 included.
     tables = {
         "off": {"_DEAD_DEPTH": 0},
         "on": {},
         "one slot": {"_DEAD_SLOTS": 1},
         "crowded bytes": {"_DEAD_BYTE_SLOTS": 8231},
+        "live keys off": {"_LIVE_DEPTH": 0},
+        "live keys at the first tick": {"_LIVE_COST": 0, "_LIVE_SPAN": 39},
     }
     runs = [(n, strong, every) for n in range(3, 22, 2) for strong in (False, True) for every in (False, True)]
     runs += [(n, False, False) for n in (23, 25, 27, 41)]
@@ -425,19 +432,33 @@ def test_dead_state_table_takes_bytes_while_every_value_fits():
 
 
 def test_dead_state_table_is_fixed_in_size_and_freed():
-    # The two plain proofs peak at the byte table's size plus frames and
-    # working ints, so the table is allocated without a temporary copy,
-    # and no call keeps it.  A search of under 4096 candidates allocates
-    # none.
+    # The two plain proofs peak at the byte table's size plus the
+    # live-key set's build at span n - 2 plus frames and working ints,
+    # so the table is allocated without a temporary copy, the set is
+    # built with no per-level copies, and no call keeps either.  The
+    # set is measured as traced, at the peak of its build: sys.getsizeof
+    # counts 28 bytes for each of its 8 865 keys at span 21, but each
+    # takes 32, 35 KB more than the slack, and at span 19 the last
+    # resize of its 5 393-key set holds the old slot array beside the
+    # new one.  A search of under 4096 candidates allocates neither.
     slack = 1 << 14
     table = sys.getsizeof(search._dead_table(23))
-    runs = (
-        (functools.partial(exhaustive_skolem_search, 23), table + slack),
-        (functools.partial(exhaustive_skolem_search, 21, find_all=True), table + slack),
-        (functools.partial(exhaustive_skolem_search, 25), slack),
-    )
     tracemalloc.start()
     try:
+        live = {}
+        for span in (19, 21):
+            start, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            keys = search._live_keys(4, span)
+            current, peak = tracemalloc.get_traced_memory()
+            assert current - start >= sys.getsizeof(keys) + sum(map(sys.getsizeof, keys)), span
+            live[span] = peak - start
+            del keys
+        runs = (
+            (functools.partial(exhaustive_skolem_search, 23), table + live[21] + slack),
+            (functools.partial(exhaustive_skolem_search, 21, find_all=True), table + live[19] + slack),
+            (functools.partial(exhaustive_skolem_search, 25), slack),
+        )
         for run, bound in runs:
             start, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
@@ -449,6 +470,59 @@ def test_dead_state_table_is_fixed_in_size_and_freed():
             assert current - start < 1024, run
     finally:
         tracemalloc.stop()
+
+
+def test_live_keys_match_the_backtracking_oracle():
+    # Every odd key of popcount 2m below 2^(span + 1), m <= 4 and
+    # span <= 15, is in _live_keys(m, span) exactly when plain
+    # backtracking fills its positions with differences 1..m.
+    top = 15
+    for m in range(1, 5):
+        fillable = {
+            key
+            for key in range(1, 2 << top, 2)
+            if key.bit_count() == 2 * m and backtrack_fills((b for b in range(top + 1) if key >> b & 1), m)
+        }
+        for span in range(top + 1):
+            assert search._live_keys(m, span) == {key for key in fillable if key < 2 << span}, (m, span)
+    assert len(search._live_keys(4, 21)) == 8865
+
+
+def test_live_keys_are_built_only_for_the_long_plain_proofs(monkeypatch):
+    # The set is built once the search has charged 2 (n - 2)^3
+    # candidates, and only at spans n - 2 <= 25: plain n = 19 find_all,
+    # 21 and 23 build it once each, at span n - 2; plain n = 17 find_all
+    # (5 089 candidates), first-found n = 25, 27 and 57 and every strong
+    # search never do.
+    built = []
+    real = search._live_keys
+
+    def recorded(m, span):
+        built.append((m, span))
+        return real(m, span)
+
+    monkeypatch.setattr(search, "_live_keys", recorded)
+    assert len(exhaustive_skolem_search(19, find_all=True)) == 2656
+    assert exhaustive_skolem_search(21) == exhaustive_skolem_search(21, find_all=True) == []
+    assert exhaustive_skolem_search(23) == []
+    assert built == [(4, 17), (4, 19), (4, 19), (4, 21)]
+
+    def refused(m, span):
+        raise AssertionError(f"live-key set built at span {span}")
+
+    monkeypatch.setattr(search, "_live_keys", refused)
+    assert len(exhaustive_skolem_search(17, find_all=True)) == 504
+    for n in (25, 27, 57):
+        assert len(exhaustive_skolem_search(n)) == 1, n
+    for n in (11, 17, 19, 25, 27, 33):
+        assert len(exhaustive_skolem_search(n, require_strong=True)) == 1, n
+    for n in range(3, 22, 2):
+        exhaustive_skolem_search(n, require_strong=True, find_all=True)
+    # Due at the first tick, the set is still built only after the clock
+    # is read, so a search that times out there never pays for it.
+    monkeypatch.setattr(search, "_LIVE_COST", 0)
+    with pytest.raises(SearchTimeout):
+        exhaustive_skolem_search(23, timeout=0.0)
 
 
 def test_search_rejects_even_modulus():
